@@ -305,12 +305,18 @@ def is_monotone_ordered(perm: Permutation) -> Optional[SubcycleDecomposition]:
     smaller than every entry of block i+1.  Fixed points may fall anywhere;
     they never influence a lexicographic comparison of x and perm(x).
     """
-    raw = perm.cycles()  # 1-based
-    cycles0 = [tuple(a - 1 for a in cyc) for cyc in raw]
+    return ordered_decomposition(
+        [tuple(a - 1 for a in cyc) for cyc in perm.cycles()])
+
+
+def ordered_decomposition(
+    cycles0: Iterable[Tuple[int, ...]]
+) -> Optional[SubcycleDecomposition]:
+    """:func:`is_monotone_ordered` on 0-based cycles already at hand."""
+    cycles0 = sorted(cycles0, key=min)
     for cyc in cycles0:
         if not is_monotone(cyc):
             return None
-    cycles0.sort(key=min)
     for a, b in zip(cycles0, cycles0[1:]):
         if max(a) >= min(b):
             return None

@@ -13,19 +13,22 @@ A monotone cycle visits its support in sorted order, so its entries behave
 like a rotation of the induced positions; positions outside the support
 never influence a lexicographic comparison of x and g(x) and are simply
 carried along.
+
+Every subgroup of <g> is the powers g^e with e a multiple of a divisor
+``step`` of g's order, so a :class:`CyclicSubgroup` is (generator, step).
+The generator's cycles, ordered blocks, monotone support, block restrictions
+and element lists sit in one :class:`_Generator` record shared by every
+subgroup derived from it; stabilizers and restrictions compute a new step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from math import gcd, lcm
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
-from .core import (
-    FixState,
-    Permutation,
-    is_monotone,
-    is_monotone_ordered,
-)
+from .core import FixState, Permutation, is_monotone, ordered_decomposition
 from .imptree import PropagationResult, propagate_set
 
 
@@ -33,120 +36,138 @@ class UnsupportedGroupError(ValueError):
     """The generator does not have the structure the algorithm needs."""
 
 
-class CyclicSubgroup:
-    """A subset of the powers of one generator, given by its exponents.
+class _Generator:
+    """What every subgroup of one generator shares, computed once.  Only
+    the subgroups derived from it refer to it, so it lives as long as the
+    solve's symmetry unit that holds them; there is no global cache."""
 
-    ``exponents`` lists the non-identity elements as powers of the
-    generator; together with the identity they must form a subgroup, which
-    is verified on construction (stabilizer filtering always produces
-    subgroups, but the check is cheap and catches bugs).
+    __slots__ = ("perm", "n", "cycles", "ord", "cycle_of", "decomp",
+                 "support", "restrictions", "elements")
+
+    def __init__(self, perm: Permutation):
+        cycles = [tuple(a - 1 for a in c) for c in perm.cycles()]  # 0-based
+        self.perm, self.n, self.cycles = perm, perm.n, cycles
+        self.ord = lcm(*map(len, cycles))
+        self.cycle_of = {a: k for k, c in enumerate(cycles) for a in c}
+        self.decomp = ordered_decomposition(cycles)
+        self.support = sorted(cycles[0]) \
+            if len(cycles) == 1 and is_monotone(cycles[0]) else None
+        self.restrictions: Dict[FrozenSet[int], _Generator] = {}
+        self.elements: Dict[int, List[Permutation]] = {}  # by step
+
+    def power(self, e: int) -> Permutation:
+        image = list(range(self.n))
+        for c in self.cycles:
+            r = e % len(c)
+            for a, b in zip(c, c[r:] + c[:r]):
+                image[a] = b
+        return Permutation(image)
+
+
+class CyclicSubgroup:
+    """The powers g^e of a generator g with e a multiple of ``step``, a
+    divisor of g's order (``step`` equal to the order: trivial subgroup).
+
+    Explicit ``exponents`` must, with 0 and taken mod the order, form a
+    subgroup, else ``ValueError``.  Derived subgroups share the generator's
+    :class:`_Generator` record and differ only in their step.
     """
 
-    __slots__ = ("generator", "n", "ord", "exponents")
+    __slots__ = ("_gen", "step")
 
-    def __init__(
-        self,
-        generator: Permutation,
-        exponents: Optional[Iterable[int]] = None,
-        check: bool = True,
-    ):
-        self.generator = generator
-        self.n = generator.n
-        self.ord = generator.order()
-        if exponents is None:
-            exps = set(range(1, self.ord))
-        else:
-            exps = {e % self.ord for e in exponents} - {0}
-        self.exponents = tuple(sorted(exps))
-        if check and not self._closed():
-            raise ValueError(
-                "exponents %r (mod %d) are not a subgroup"
-                % (self.exponents, self.ord)
-            )
+    def __init__(self, generator: Permutation,
+                 exponents: Optional[Iterable[int]] = None):
+        gen = _Generator(generator)
+        step = 1
+        if exponents is not None:
+            exps = {e % gen.ord for e in exponents} - {0}
+            step = gcd(gen.ord, *exps)
+            if exps != set(range(step, gen.ord, step)):
+                raise ValueError("exponents %r (mod %d) are not a subgroup"
+                                 % (sorted(exps), gen.ord))
+        self._gen, self.step = gen, step
 
-    def _closed(self) -> bool:
-        s = set(self.exponents) | {0}
-        return all((a + b) % self.ord in s for a in s for b in s)
+    @classmethod
+    def _of(cls, gen: _Generator, step: int) -> "CyclicSubgroup":
+        sub = cls.__new__(cls)
+        sub._gen, sub.step = gen, step
+        return sub
 
     @classmethod
     def generated_by(cls, gen: Permutation) -> "CyclicSubgroup":
-        return cls(gen, None, check=False)
+        return cls(gen)
+
+    @property
+    def generator(self) -> Permutation:
+        return self._gen.perm
+
+    @property
+    def n(self) -> int:
+        return self._gen.n
+
+    @property
+    def exponents(self) -> Tuple[int, ...]:
+        """The non-identity elements as powers of the generator."""
+        return tuple(range(self.step, self._gen.ord, self.step))
 
     def is_trivial(self) -> bool:
-        return not self.exponents
+        return self.step == self._gen.ord
 
     def elements(self) -> List[Permutation]:
         """Distinct non-identity elements, in exponent order."""
-        out = []
-        seen = set()
-        for e in self.exponents:
-            g = self.generator ** e
-            if not g.is_identity() and g.image not in seen:
-                seen.add(g.image)
-                out.append(g)
-        return out
-
-    # -- stabilizers (exponent filtering) ----------------------------------
+        gen, step = self._gen, self.step
+        if step not in gen.elements:
+            gen.elements[step] = [
+                gen.power(e) for e in range(step, gen.ord, step)]
+        return list(gen.elements[step])
 
     def stab_pointwise(self, indices: Iterable[int]) -> "CyclicSubgroup":
-        idx = list(indices)
-        keep = []
-        for e in self.exponents:
-            g = self.generator ** e
-            if all(g.image[i] == i for i in idx):
-                keep.append(e)
-        return CyclicSubgroup(self.generator, keep)
+        """g^e fixes a cycle's entries iff the cycle's length divides e."""
+        gen, step = self._gen, self.step
+        for k in {gen.cycle_of[i] for i in indices if i in gen.cycle_of}:
+            step = lcm(step, len(gen.cycles[k]))
+        return CyclicSubgroup._of(gen, step)
 
     def stab_setwise_pair(
         self, a: Iterable[int], b: Iterable[int]
     ) -> "CyclicSubgroup":
+        """g^e keeps a and b in place iff, on each cycle meeting them, e is
+        a multiple of the rotation period of the (in a, in b) pattern."""
+        gen, step = self._gen, self.step
         sa, sb = set(a), set(b)
-        keep = []
-        for e in self.exponents:
-            g = self.generator ** e
-            if all(g.image[i] in sa for i in sa) and \
-                    all(g.image[i] in sb for i in sb):
-                keep.append(e)
-        return CyclicSubgroup(self.generator, keep)
+        for k in {gen.cycle_of[i] for i in sa | sb if i in gen.cycle_of}:
+            pattern = [(i in sa, i in sb) for i in gen.cycles[k]]
+            size = len(pattern)
+            step = lcm(step, next(
+                p for p in range(1, size + 1) if size % p == 0
+                and pattern[p:] + pattern[:p] == pattern))
+        return CyclicSubgroup._of(gen, step)
 
     def restrict_to_block(self, block: Iterable[int]) -> "CyclicSubgroup":
         """Elements restricted to an invariant block (identity elsewhere)."""
-        blk = set(block)
-        zeta = self.generator.restrict(blk)
-        o = zeta.order()
-        return CyclicSubgroup(zeta, [e % o for e in self.exponents])
+        key = frozenset(block)
+        sub = self._gen.restrictions.get(key)
+        if sub is None:  # restrict raises InvalidRestrictionError
+            sub = self._gen.restrictions[key] = _Generator(
+                self._gen.perm.restrict(key))
+        return CyclicSubgroup._of(sub, gcd(self.step, sub.ord))
 
     def __repr__(self) -> str:
-        return "CyclicSubgroup(%r, exponents=%r)" % (
-            self.generator, list(self.exponents))
-
-
-def stab_pointwise(group: CyclicSubgroup, indices) -> CyclicSubgroup:
-    return group.stab_pointwise(indices)
-
-
-def stab_setwise_pair(group: CyclicSubgroup, a, b) -> CyclicSubgroup:
-    return group.stab_setwise_pair(a, b)
+        return "CyclicSubgroup(%r, step=%d)" % (self.generator, self.step)
 
 
 # -- monotone single-cycle groups -------------------------------------------
 
 
 def _monotone_support(group: CyclicSubgroup) -> List[int]:
-    """Validate the generator as one monotone cycle; return sorted support.
-
-    A monotone cycle maps each support entry to the next larger one and the
-    largest back to the smallest.
+    """Sorted support of a generator that is one monotone cycle (each
+    support entry maps to the next larger one, the largest to the smallest).
     """
-    gen = group.generator
-    cyc = gen.cycles()
-    if len(cyc) != 1:
+    gen = group._gen
+    if gen.support is None:
         raise UnsupportedGroupError(
-            "generator must be a single cycle, got %d cycles" % len(cyc))
-    cycle0 = tuple(a - 1 for a in cyc[0])
-    if not is_monotone(cycle0):
-        raise UnsupportedGroupError("generator cycle is not monotone")
-    return sorted(cycle0)
+            "generator is not a single monotone cycle: %r" % (gen.perm,))
+    return gen.support
 
 
 def prop4_witness(
@@ -156,9 +177,8 @@ def prop4_witness(
     feasible state: ones exactly on the 1-fixed entries plus the first
     unfixed support entry; unfixed entries elsewhere get zero.
     """
-    n = group.n
     support = _monotone_support(group)
-    x = [0] * n
+    x = [0] * group.n
     for i in fixed1:
         x[i] = 1
     for i in support:
@@ -178,28 +198,21 @@ def strict_witness(
     unfixed support position falls in the lower or upper half of the
     support: lower half additionally sets that position to one.
     """
-    n = group.n
     support = _monotone_support(group)
-    k = len(support)
-    free_ranks = [r for r, i in enumerate(support)
-                  if i not in fixed0 and i not in fixed1]
-    if not free_ranks:
+    ihat_rank = next((r for r, i in enumerate(support)
+                      if i not in fixed0 and i not in fixed1), None)
+    if ihat_rank is None:
         raise ValueError("strict witness needs an unfixed support entry")
-    ihat_rank = free_ranks[0]
-    x = [0] * n
+    x = [0] * group.n
     for i in fixed1:
         x[i] = 1
-    if (ihat_rank + 1) * 2 <= k:  # 1-based rank <= k/2
+    if (ihat_rank + 1) * 2 <= len(support):  # 1-based rank <= half the support
         x[support[ihat_rank]] = 1
     return tuple(x)
 
 
-def _feasible_with(
-    elems: Sequence[Permutation],
-    n: int,
-    fixed0: Set[int],
-    fixed1: Set[int],
-) -> Optional[PropagationResult]:
+def _feasible_with(elems: Sequence[Permutation], n: int, fixed0: Set[int],
+                   fixed1: Set[int]) -> Optional[PropagationResult]:
     """Per-permutation completion; None when infeasible."""
     if fixed0 & fixed1:
         return None
@@ -221,14 +234,12 @@ def complete_fix_monotone_group(
     """
     support = _monotone_support(group)
     n = group.n
-    if not fixings.is_consistent():
-        return PropagationResult.infeasible()
     elems = group.elements()
-    if not elems:
-        return PropagationResult.of(fixings.fixed0, fixings.fixed1)
     base = _feasible_with(elems, n, set(fixings.fixed0), set(fixings.fixed1))
     if base is None:
         return PropagationResult.infeasible()
+    if not elems:
+        return base
     j0, j1 = set(base.fixed0), set(base.fixed1)
     witness = prop4_witness(group, j0, j1)
     for i in support:
@@ -258,25 +269,11 @@ def group_feasible_monotone(group: CyclicSubgroup, fixings: FixState) -> bool:
     propagation decides.
     """
     _monotone_support(group)
-    if not fixings.is_consistent():
-        return False
-    elems = group.elements()
-    if not elems:
-        return True
-    return _feasible_with(
-        elems, group.n, set(fixings.fixed0), set(fixings.fixed1)
-    ) is not None
+    return _feasible_with(group.elements(), group.n, set(fixings.fixed0),
+                          set(fixings.fixed1)) is not None
 
 
 # -- ordered monotone subcycles ---------------------------------------------
-
-
-def _ordered_blocks(group: CyclicSubgroup) -> List[Tuple[int, ...]]:
-    decomp = is_monotone_ordered(group.generator)
-    if decomp is None:
-        raise UnsupportedGroupError(
-            "generator is not an ordered composition of monotone cycles")
-    return list(decomp.blocks)
 
 
 def propagate_ordered_monotone(
@@ -299,8 +296,7 @@ def propagate_ordered_monotone(
     are returned: they are valid fixings regardless, and callers that only
     want the feasibility verdict can ignore them.
     """
-    res = _propagate_ordered(group, fixings, start_block, compute_fixings)
-    return res[0]
+    return _propagate_ordered(group, fixings, start_block, compute_fixings)[0]
 
 
 def _propagate_ordered(
@@ -308,9 +304,14 @@ def _propagate_ordered(
     fixings: FixState,
     start_block: int,
     compute_fixings: bool,
-    want_witness: bool = False,
 ) -> Tuple[PropagationResult, Optional[Tuple[int, ...]]]:
-    blocks = _ordered_blocks(group)
+    """propagate_ordered_monotone, plus a vector that agrees on the first
+    block with a member of the constrained set (the peeks read no more)."""
+    decomp = group._gen.decomp
+    if decomp is None:
+        raise UnsupportedGroupError(
+            "generator is not an ordered composition of monotone cycles")
+    blocks = decomp.blocks
     m = len(blocks)
     if not 1 <= start_block <= m:
         raise ValueError("start_block %d outside 1..%d" % (start_block, m))
@@ -319,8 +320,10 @@ def _propagate_ordered(
         return PropagationResult.infeasible(), None
     j0, j1 = set(fixings.fixed0), set(fixings.fixed1)
     delta = group
-    witness_parts: Dict[int, Tuple[int, ...]] = {}
+    witness: Optional[Tuple[int, ...]] = None
     for c in range(start_block - 1, m):
+        if delta.is_trivial():
+            break  # later blocks have no elements, so they fix nothing
         block = blocks[c]
         restr = delta.restrict_to_block(block)
         elems = restr.elements()
@@ -329,34 +332,33 @@ def _propagate_ordered(
             if t is None:
                 return PropagationResult.infeasible(), None
             j0, j1 = set(t.fixed0), set(t.fixed1)
-        if want_witness:
-            free = [i for i in block if i not in j0 and i not in j1]
+        free = [i for i in block if i not in j0 and i not in j1]
+        if c == start_block - 1:
             if elems and free:
-                witness_parts[c] = strict_witness(restr, j0, j1)
+                witness = strict_witness(restr, j0, j1)
             else:
-                witness_parts[c] = prop4_witness(restr, j0, j1) if elems \
+                witness = prop4_witness(restr, j0, j1) if elems \
                     else tuple(1 if i in j1 else 0 for i in range(n))
         if compute_fixings:
-            free = [i for i in block if i not in j0 and i not in j1]
             wit: Optional[Tuple[int, ...]] = None
             if free:
                 # One feasibility call yields a certified member vector;
                 # it lets us skip every peek it already decides.
                 _, wit = _propagate_ordered(
-                    delta, FixState(n, j0, j1), c + 1, False, True)
+                    delta, FixState(n, j0, j1), c + 1, False)
             for i in free:
                 if i in j0 or i in j1:
                     continue
                 if wit is None or wit[i] != 0:
                     r0, w0 = _propagate_ordered(
-                        delta, FixState(n, j0 | {i}, j1), c + 1, False, True)
+                        delta, FixState(n, j0 | {i}, j1), c + 1, False)
                     if not r0.feasible:
                         j1.add(i)
                         continue
                     wit = w0
                 if wit is None or wit[i] != 1:
                     r1, w1 = _propagate_ordered(
-                        delta, FixState(n, j0, j1 | {i}), c + 1, False, True)
+                        delta, FixState(n, j0, j1 | {i}), c + 1, False)
                     if not r1.feasible:
                         j0.add(i)
                     else:
@@ -366,13 +368,6 @@ def _propagate_ordered(
                 j0 & set(block), j1 & set(block))
         else:
             delta = delta.stab_pointwise(block)
-    witness: Optional[Tuple[int, ...]] = None
-    if want_witness:
-        w = [1 if i in j1 else 0 for i in range(n)]
-        for c, part in witness_parts.items():
-            for i in blocks[c]:
-                w[i] = part[i]
-        witness = tuple(w)
     return PropagationResult.of(j0, j1), witness
 
 

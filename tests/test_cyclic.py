@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from cycfix.core import FixState, Permutation, is_monotone_ordered
+from cycfix.core import (FixState, InvalidRestrictionError, Permutation,
+                         is_monotone_ordered)
 from cycfix.cyclic import (CyclicSubgroup, UnsupportedGroupError,
                            complete_fix_monotone_group,
                            group_feasible_monotone, prop4_witness,
@@ -50,6 +51,63 @@ class TestCyclicSubgroup:
         grp = CyclicSubgroup.generated_by(gen)
         sub = grp.restrict_to_block({0, 1, 2})
         assert sub.generator.cycles() == [(1, 2, 3)]
+
+    def test_restrict_to_non_invariant_block_rejected(self):
+        gen = Permutation.from_cycles(6, [(1, 2, 3), (4, 5, 6)])
+        grp = CyclicSubgroup.generated_by(gen)
+        with pytest.raises(InvalidRestrictionError):
+            grp.restrict_to_block({0, 1})
+
+
+def _check_against_powers(sub, gen, exponents):
+    """sub is the subgroup of gen with these exponents, element by element."""
+    assert sub.generator == gen
+    assert sub.exponents == tuple(exponents)
+    assert [g.image for g in sub.elements()] == \
+        [(gen ** e).image for e in exponents]
+
+
+class TestSubgroupsMatchPowerFilters:
+    """Stabilizers and restrictions against filters over generator ** e."""
+
+    def test_randomized(self):
+        rng = random.Random(17)
+        for _ in range(600):
+            n = rng.randint(4, 12)
+            grp = rand_ordered_monotone_group(rng, n)
+            gen = grp.generator
+            powers = {e: gen ** e for e in grp.exponents}
+
+            idx = rng.sample(range(n), rng.randint(0, 3))
+            point = grp.stab_pointwise(idx)
+            _check_against_powers(point, gen, [
+                e for e, g in powers.items()
+                if all(g.image[i] == i for i in idx)])
+
+            # a random 0/1 pattern over some blocks, all of them fixed, and
+            # two random index sets
+            blocks = is_monotone_ordered(gen).blocks
+            fixed = [i for b in blocks if rng.random() < 0.6 for i in b]
+            ones = {i for i in fixed if rng.random() < 0.5}
+            pairs = [(set(fixed) - ones, ones),
+                     (set(rng.sample(range(n), rng.randint(0, n))),
+                      set(rng.sample(range(n), rng.randint(0, n))))]
+            for base in (grp, point):
+                for a, b in pairs:
+                    _check_against_powers(
+                        base.stab_setwise_pair(a, b), gen, [
+                            e for e in base.exponents
+                            if all(powers[e].image[i] in a for i in a)
+                            and all(powers[e].image[i] in b for i in b)])
+
+            block = rng.choice(blocks)
+            zeta = gen.restrict(block)
+            restr = grp.restrict_to_block(block)
+            exps = sorted({e % zeta.order() for e in powers} - {0})
+            _check_against_powers(restr, zeta, exps)
+            assert {g.image for g in restr.elements()} == {
+                g.restrict(block).image for g in powers.values()
+                if not g.restrict(block).is_identity()}
 
 
 class TestMonotoneComplete:

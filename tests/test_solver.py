@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cycfix.bench import gen_snark
 from cycfix.core import FixState, Permutation
 from cycfix.solver import (MODES, RELABELS, BinaryProgram, Row, Settings,
                            node_propagate, solve)
@@ -157,3 +158,26 @@ class TestSafeguardCaps:
         bp = simple_bp(12, [], [gen], objective=[0.0] * 12)
         res = solve(bp, Settings(mode="group", max_perms=2))
         assert res.status == "optimal"
+
+
+# (nodes, sym_fixings) of flower snark solves per relabeling; every one is
+# infeasible.
+SNARK_PINS = {
+    (3, "nopeek"): {"original": (21, 8), "max": (21, 19),
+                    "min": (17, 9), "respect": (17, 10)},
+    (3, "peek"): {"original": (21, 8), "max": (21, 19),
+                  "min": (17, 9), "respect": (17, 10)},
+    (5, "nopeek"): {"original": (53, 14), "max": (113, 42),
+                    "min": (51, 19), "respect": (51, 20)},
+    (5, "peek"): {"original": (53, 14), "max": (113, 39),
+                  "min": (51, 18), "respect": (51, 19)},
+}
+
+
+@pytest.mark.parametrize("m, mode", sorted(SNARK_PINS))
+def test_snark_search_pinned(m, mode):
+    _, bp = gen_snark(m)
+    for rl, (nodes, fixings) in SNARK_PINS[m, mode].items():
+        res = solve(bp, Settings(mode=mode, relabel=rl))
+        assert (res.status, res.nodes, res.sym_fixings) == \
+            ("infeasible", nodes, fixings), rl
