@@ -1,9 +1,7 @@
 """Implication-tree kernel: per-permutation lexicographic fixing propagation.
 
-This module is the hot core of the package.  It is deliberately written in
-plain Python (no dataclasses, no fancy typing) so the identical source can be
-compiled with Cython in pure-Python mode; ``cycfix.imptree`` picks the
-compiled copy when available and falls back to this one.
+This module is the hot core of the package, written in plain Python (no
+dataclasses, no fancy typing); ``cycfix.imptree`` is its public surface.
 
 The tree encodes, for one permutation ``g`` and a growing lexicographic
 horizon, all minimal conjunctions of fixings that either force x < g(x) on
@@ -116,10 +114,6 @@ class ImplicationTree(object):
         v.children = []
         self._unregister(v)
 
-    def reregister(self, v):
-        """Re-file a fixing vertex after its value changed kind/value."""
-        # entry is unchanged; nothing to move in entry_map.
-
     def sibling_of(self, v):
         parent = v.parent
         if parent is None or len(parent.children) != 2:
@@ -174,7 +168,7 @@ class FixScheduler(object):
         return entry, value
 
 
-def init_state(perm, fix0, fix1):
+def init_state(perm):
     """Fresh state: horizon 1, tree = root plus one loose end."""
     return PermPropState(perm.n, perm.image, perm.inv)
 
@@ -445,7 +439,7 @@ def propagate_set_raw(perms, fix0, fix1, n,
     Returns ``(feasible, fix0, fix1, states)``; the fixing sets are mutated
     in place and states are returned for inspection by tests.
     """
-    states = [init_state(g, fix0, fix1) for g in perms]
+    states = [init_state(g) for g in perms]
     if fix0 & fix1:
         return False, fix0, fix1, states
     sched = FixScheduler()

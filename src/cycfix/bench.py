@@ -9,8 +9,10 @@ translation boundary to the 0-based library API):
       "name": "example",
       "n": 3,
       "variables": ["x1", "x2", "x3"],
-      "objective": {"1": 1.0},
-      "rows": [{"coeffs": {"1": 1.0, "2": 1.0}, "sense": "<=", "rhs": 1.0}],
+      "objective": {"1": 1.0, "2": 1.0, "3": 1.0},
+      "rows": [{"coeffs": {"1": 1.0, "2": 1.0}, "sense": "<=", "rhs": 1.0},
+               {"coeffs": {"2": 1.0, "3": 1.0}, "sense": "<=", "rhs": 1.0},
+               {"coeffs": {"1": 1.0, "3": 1.0}, "sense": "<=", "rhs": 1.0}],
       "generators": [[[1, 2, 3]]]
     }
 
@@ -273,32 +275,44 @@ class RunRow:
     nodes: int
     sym_fixings: int
     sym_time: float
+    error: str = ""                  # exception message of an error row
+
+    @property
+    def failed(self) -> bool:
+        return self.status.startswith("error:")
 
 
 @dataclass
 class ExperimentReport:
+    """Run rows plus summary lines; error rows (status ``error:<Type>``)
+    are counted but left out of every time aggregate."""
+
     rows: List[RunRow]
     shift: float = 10.0
 
     def times(self) -> List[float]:
-        return [r.time for r in self.rows]
+        return [r.time for r in self.rows if not r.failed]
 
     def to_text(self) -> str:
         lines = ["instance\tmode\trelabel\tseed\tstatus\ttime\tnodes"
-                 "\tsym_fixings\tsym_time"]
+                 "\tsym_fixings\tsym_time\terror"]
         for r in self.rows:
-            lines.append("%s\t%s\t%s\t%d\t%s\t%.3f\t%d\t%d\t%.3f" % (
+            lines.append("%s\t%s\t%s\t%d\t%s\t%.3f\t%d\t%d\t%.3f\t%s" % (
                 r.instance, r.mode, r.relabel, r.seed, r.status, r.time,
-                r.nodes, r.sym_fixings, r.sym_time))
-        total = sum(r.time for r in self.rows)
+                r.nodes, r.sym_fixings, r.sym_time,
+                " ".join(r.error.split())))
+        times = self.times()
+        total = sum(times)
         total_sym = sum(r.sym_time for r in self.rows)
         solved = sum(1 for r in self.rows
                      if r.status in ("optimal", "infeasible"))
         lines.append("")
         lines.append("runs\t%d" % len(self.rows))
         lines.append("solved\t%d" % solved)
-        lines.append("time_shifted_geomean\t%.3f"
-                     % shifted_geomean(self.times(), self.shift))
+        lines.append("errors\t%d" % sum(r.failed for r in self.rows))
+        lines.append("time_shifted_geomean\t%s"
+                     % ("%.3f" % shifted_geomean(times, self.shift)
+                        if times else "-"))
         lines.append("total_time\t%.3f" % total)
         lines.append("symmetry_time\t%.3f" % total_sym)
         lines.append("symmetry_percent\t%.1f"
@@ -317,7 +331,7 @@ def _run_one(args) -> RunRow:
                       res.nodes, res.sym_fixings, res.sym_time)
     except Exception as exc:  # recorded, never aborts the grid
         return RunRow(name, mode, rl, seed, "error:%s" % type(exc).__name__,
-                      0.0, 0, 0, 0.0)
+                      0.0, 0, 0, 0.0, str(exc))
 
 
 def run_experiment(

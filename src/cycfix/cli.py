@@ -6,7 +6,8 @@ can also be set in a JSON config file passed via ``--config``; explicit
 command-line flags win over config values.
 
 Exit codes: 0 success (optimal / feasible report), 1 infeasible,
-2 time limit reached, 64 usage or input error.
+2 time limit reached, 64 usage or input error.  An instance whose declared
+generators are not all symmetries of its program is an input error.
 """
 
 from __future__ import annotations
@@ -83,9 +84,14 @@ def _load_instance(path: Optional[str]):
     if not path:
         raise UsageError("--instance is required")
     try:
-        return bench.parse_instance(path)
+        name, bp = bench.parse_instance(path)
     except (OSError, bench.InstanceError) as exc:
         raise UsageError(str(exc))
+    try:
+        bp.check_generators()
+    except ValueError as exc:
+        raise UsageError("%s: %s" % (path, exc))
+    return name, bp
 
 
 def _fix_state(args, bp: BinaryProgram) -> FixState:
@@ -198,12 +204,9 @@ def _cmd_experiment(args, argv) -> int:
     unknown = set(grid) - known
     if unknown:
         raise UsageError("grid: unknown keys %s" % ", ".join(sorted(unknown)))
-    try:
-        instances = [bench.parse_instance(p) for p in grid["instances"]]
-    except KeyError:
+    if "instances" not in grid:
         raise UsageError("grid: missing key 'instances'")
-    except (OSError, bench.InstanceError) as exc:
-        raise UsageError(str(exc))
+    instances = [_load_instance(p) for p in grid["instances"]]
     try:
         report = bench.run_experiment(
             instances,

@@ -2,7 +2,14 @@
 
 The solver is LP-free: bounding uses the sum of positive unfixed objective
 coefficients, domain reduction uses min/max row activities, and symmetry
-handling is pure node-local propagation in one of five modes:
+handling is pure node-local propagation in one of five modes (listed below).
+
+Row propagation is event-driven.  A per-solve index (:class:`_RowIndex`)
+maps each variable to the rows that contain it, and a queue rechecks only
+rows one of whose variables was fixed.  A search child differs from its
+parent's fixpoint by its branching fixing alone, so its queue starts from
+that variable's rows; after the symmetry units add fixings, it starts from
+the rows of the newly fixed variables.  The modes:
 
 - ``nosym``  — no symmetry handling;
 - ``gen``    — propagate each declared generator's constraint individually;
@@ -22,7 +29,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import FixState, Permutation, group_elements, is_monotone_ordered
 from .cyclic import CyclicSubgroup, RelabelPlan, propagate_ordered_monotone, relabel
@@ -57,6 +64,12 @@ class Row:
         return dict(self.coeffs)
 
 
+def _round9(v: float) -> float:
+    """``round(v, 9)``.  An integral value comes back unchanged, as round
+    would return it, without round's cost."""
+    return v if v % 1.0 == 0.0 else round(v, 9)
+
+
 @dataclass
 class BinaryProgram:
     """max c^T x over binary x subject to rows; generators declare symmetry."""
@@ -82,23 +95,53 @@ class BinaryProgram:
         """Algebraic invariance: objective constant on orbits, rows map to
         rows.  This implies the permutation maps feasible points to feasible
         points of equal objective."""
-        for i in range(self.n):
-            if abs(self.objective[perm.image[i]] - self.objective[i]) > tol:
-                return False
-        def key(row: Row) -> Tuple:
-            return (row.sense, round(row.rhs, 9),
-                    tuple(sorted((i, round(a, 9)) for i, a in row.coeffs)))
-        have = {}
+        return self._is_symmetry(perm, tol, self._row_keys())
+
+    def check_generators(self, tol: float = 1e-9) -> None:
+        """Raise ValueError naming the first declared generator (1-based)
+        that :meth:`check_symmetry` rejects."""
+        keys = self._row_keys() if self.generators else []
+        for k, g in enumerate(self.generators, start=1):
+            if not self._is_symmetry(g, tol, keys):
+                raise ValueError(
+                    "generator %d %r is not a symmetry of the program"
+                    % (k, g))
+
+    def _row_keys(self) -> List[Tuple[tuple, Tuple[int, ...],
+                                      Tuple[float, ...]]]:
+        """Per row: its key (sense, rhs, sorted (entry, coeff) pairs) with
+        numbers rounded to 9 digits, its entries and its rounded coeffs."""
+        out = []
         for row in self.rows:
-            k = key(row)
-            have[k] = have.get(k, 0) + 1
-        for row in self.rows:
-            mapped = Row.make(
-                {perm.image[i]: a for i, a in row.coeffs}, row.sense, row.rhs)
-            k = key(mapped)
-            if have.get(k, 0) <= 0:
+            entries, raw = tuple(zip(*row.coeffs)) or ((), ())
+            coeffs = tuple(map(_round9, raw))
+            key = (row.sense, _round9(row.rhs),
+                   tuple(sorted(zip(entries, coeffs))))
+            out.append((key, entries, coeffs))
+        return out
+
+    def _is_symmetry(self, perm: Permutation, tol: float,
+                     keys: List[Tuple[tuple, Tuple[int, ...],
+                                      Tuple[float, ...]]]) -> bool:
+        img, obj = perm.image, self.objective
+        for j, c in zip(img, obj):
+            if abs(obj[j] - c) > tol:
                 return False
-            have[k] -= 1
+        # Rows that avoid the support map to themselves; the others must
+        # map onto each other as a multiset.
+        moved = {i for i, j in enumerate(img) if i != j}
+        left: Dict[tuple, int] = {}
+        mapped = []
+        for key, entries, coeffs in keys:
+            if moved.isdisjoint(entries):
+                continue
+            left[key] = left.get(key, 0) + 1
+            mapped.append((key[0], key[1], tuple(sorted(
+                zip(map(img.__getitem__, entries), coeffs)))))
+        for k in mapped:
+            if left.get(k, 0) <= 0:
+                return False
+            left[k] -= 1
         return True
 
     def objective_value(self, x: Sequence[int]) -> float:
@@ -244,41 +287,84 @@ class _SymmetryEngine:
         return PropagationResult.of(j0, j1)
 
 
-def _row_propagate(bp: BinaryProgram, fs: FixState) -> bool:
-    """Min/max-activity domain propagation; False when a row is violated."""
-    changed = True
-    while changed:
-        changed = False
-        for row in bp.rows:
-            lo = hi = 0.0
-            free: List[Tuple[int, float]] = []
-            for i, a in row.coeffs:
-                v = fs.value(i)
-                if v is not None:
-                    lo += a * v
-                    hi += a * v
-                else:
-                    lo += min(a, 0.0)
-                    hi += max(a, 0.0)
-                    free.append((i, a))
-            if lo > row.rhs + EPS:
-                return False
-            if row.sense == "==" and hi < row.rhs - EPS:
-                return False
-            for i, a in free:
-                for v in (0, 1):
-                    new_lo = lo - min(a, 0.0) + a * v
-                    bad = new_lo > row.rhs + EPS
-                    if not bad and row.sense == "==":
-                        new_hi = hi - max(a, 0.0) + a * v
-                        bad = new_hi < row.rhs - EPS
-                    if bad:
-                        if fs.value(i) == v:
-                            return False
-                        if fs.value(i) is None:
-                            (fs.fixed1 if v == 0 else fs.fixed0).add(i)
-                            changed = True
-                        break
+class _RowIndex:
+    """Per-solve row data for :func:`_row_propagate`.
+
+    ``rows[r]`` is ``(terms, is_eq, rhs)`` where each term is
+    ``(entry, coeff, min(coeff, 0), max(coeff, 0))``; ``watch[i]`` lists the
+    rows whose terms contain entry i.
+    """
+
+    __slots__ = ("rows", "watch")
+
+    def __init__(self, bp: BinaryProgram):
+        self.rows: List[Tuple[tuple, bool, float]] = []
+        self.watch: List[List[int]] = [[] for _ in range(bp.n)]
+        for r, row in enumerate(bp.rows):
+            self.rows.append((
+                tuple((i, a, min(a, 0.0), max(a, 0.0)) for i, a in row.coeffs),
+                row.sense == "==", row.rhs))
+            for i, _a in row.coeffs:
+                self.watch[i].append(r)
+
+
+def _row_propagate(index: _RowIndex, fs: FixState,
+                   wake: Optional[Iterable[int]] = None) -> bool:
+    """Min/max-activity domain propagation; False when a row is violated.
+
+    Event-driven: a queue holds the rows to (re)check, starting with the
+    rows that contain an entry of ``wake`` (every row when ``wake`` is None).
+    A row that fixes an entry queues that entry's rows again, itself
+    included, so the loop ends at the same fixpoint as rescanning every row
+    until a pass changes nothing: the rules only fire more as fixings grow.
+    The caller may seed with just the entries fixed since the rows were
+    last at a fixpoint.
+    """
+    rows, watch = index.rows, index.watch
+    f0, f1 = fs.fixed0, fs.fixed1
+    if wake is None:
+        queue = list(range(len(rows) - 1, -1, -1))
+    else:
+        queue = sorted({r for i in wake for r in watch[i]}, reverse=True)
+    queued = bytearray(len(rows))
+    for r in queue:
+        queued[r] = 1
+    while queue:
+        r = queue.pop()
+        queued[r] = 0
+        terms, is_eq, rhs = rows[r]
+        lo = hi = 0.0
+        free = []
+        for t in terms:
+            i = t[0]
+            if i in f0:
+                continue
+            if i in f1:
+                lo += t[1]
+                hi += t[1]
+            else:
+                lo += t[2]
+                hi += t[3]
+                free.append(t)
+        if lo > rhs + EPS:
+            return False
+        if is_eq and hi < rhs - EPS:
+            return False
+        for i, a, amin, amax in free:
+            for v in (0, 1):
+                bad = lo - amin + a * v > rhs + EPS
+                if not bad and is_eq:
+                    bad = hi - amax + a * v < rhs - EPS
+                if bad:
+                    if i in (f0 if v == 0 else f1):
+                        return False
+                    if i not in f0 and i not in f1:
+                        (f1 if v == 0 else f0).add(i)
+                        for r2 in watch[i]:
+                            if not queued[r2]:
+                                queued[r2] = 1
+                                queue.append(r2)
+                    break
     return True
 
 
@@ -288,23 +374,36 @@ def node_propagate(
     settings: Settings,
     engine: Optional[_SymmetryEngine] = None,
     stats: Optional[Dict[str, int]] = None,
+    rows: Optional[_RowIndex] = None,
+    branched: Optional[int] = None,
 ) -> PropagationResult:
-    """Row propagation and symmetry propagation to a joint fixpoint."""
+    """Row propagation and symmetry propagation to a joint fixpoint.
+
+    ``fixings`` is extended in place.  ``branched`` says that ``fixings`` is
+    a row fixpoint plus the fixing of that one entry, as at a search child,
+    so only that entry's rows are queued at first; without it every row is.
+    """
     if not fixings.is_consistent():
         return PropagationResult.infeasible()
     if engine is None:
         engine = _SymmetryEngine(bp, settings)
     if stats is None:
         stats = {}
+    if rows is None:
+        rows = _RowIndex(bp)
     fs = fixings
+    wake = None if branched is None else (branched,)
     while True:
-        before = len(fs.fixed0) + len(fs.fixed1)
-        if not _row_propagate(bp, fs):
+        if not _row_propagate(rows, fs, wake):
             return PropagationResult.infeasible()
+        if not engine.units:
+            break
+        seen = fs.fixed0 | fs.fixed1
         if not engine.propagate(fs, stats):
             return PropagationResult.infeasible()
-        if len(fs.fixed0) + len(fs.fixed1) == before:
+        if len(fs.fixed0) + len(fs.fixed1) == len(seen):
             break
+        wake = (fs.fixed0 | fs.fixed1) - seen
     return PropagationResult.of(fs.fixed0, fs.fixed1)
 
 
@@ -328,25 +427,34 @@ def _relabel_program(
 
 
 def solve(bp: BinaryProgram, settings: Settings = Settings()) -> SolveResult:
-    """Depth-first search, branching lowest-index unfixed variable, 1 first."""
+    """Depth-first search, branching lowest-index unfixed variable, 1 first.
+
+    Raises ValueError when the mode uses the declared generators and one of
+    them is not a symmetry of ``bp``: propagating it would cut off optimal
+    solutions, so the reported optimum or infeasibility would be wrong.
+    """
     t0 = time.perf_counter()
+    if settings.mode != "nosym":
+        bp.check_generators()
     work, plan = _relabel_program(bp, settings.relabel)
     engine = _SymmetryEngine(work, settings)
+    rows = _RowIndex(work)
     stats: Dict[str, float] = {"sym_fixings": 0}
     n = work.n
     best_obj: Optional[float] = None
     best_x: Optional[Tuple[int, ...]] = None
     nodes = 0
     timed_out = False
-    stack: List[FixState] = [FixState(n)]
+    # Each entry is a node and the entry it branched on (None at the root).
+    stack: List[Tuple[FixState, Optional[int]]] = [(FixState(n), None)]
     while stack:
         if settings.time_limit is not None and \
                 time.perf_counter() - t0 > settings.time_limit:
             timed_out = True
             break
-        fs = stack.pop()
+        fs, branched = stack.pop()
         nodes += 1
-        res = node_propagate(work, fs, settings, engine, stats)
+        res = node_propagate(work, fs, settings, engine, stats, rows, branched)
         if not res.feasible:
             continue
         bound = sum(work.objective[i] for i in fs.fixed1) + \
@@ -368,8 +476,8 @@ def solve(bp: BinaryProgram, settings: Settings = Settings()) -> SolveResult:
         zero.fixed0.add(i)
         one = fs.copy()
         one.fixed1.add(i)
-        stack.append(zero)
-        stack.append(one)   # popped first: 1-branch explored first
+        stack.append((zero, i))
+        stack.append((one, i))   # popped first: 1-branch explored first
     wall = time.perf_counter() - t0
     if timed_out:
         status = "timelimit"

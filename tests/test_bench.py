@@ -191,6 +191,30 @@ class TestExperiment:
         assert len(rep.rows) == 1
         assert rep.rows[0].status.startswith("error:")
 
+    def test_error_rows_keep_the_message_and_stay_out_of_times(self):
+        bad = BinaryProgram(2, [1.0, 1.0], [], None, [])
+        bad.objective = [1.0]  # corrupt after construction
+        rep = run_experiment([("bad", bad), self.small_instance()],
+                             ["nosym"], ["original"], [0])
+        err = [r for r in rep.rows if r.failed]
+        assert len(err) == 1 and err[0].error
+        ok = [r for r in rep.rows if not r.failed]
+        assert rep.times() == [ok[0].time]
+        text = rep.to_text()
+        assert "errors\t1" in text
+        assert "total_time\t%.3f" % ok[0].time in text
+        assert " ".join(err[0].error.split()) in text
+
+    def test_all_error_report(self):
+        rep = ExperimentReport(rows=[
+            RunRow("a", "gen", "original", 0, "error:ValueError", 0.0, 0, 0,
+                   0.0, "generator 1 is not a symmetry"),
+        ])
+        text = rep.to_text()
+        assert "errors\t1" in text
+        assert "time_shifted_geomean\t-" in text
+        assert "generator 1 is not a symmetry" in text
+
     def test_report_text(self):
         rep = ExperimentReport(rows=[
             RunRow("a", "nosym", "original", 0, "optimal", 0.0, 5, 0, 0.0),

@@ -55,6 +55,18 @@ class TestSolveCommand:
         assert cli.main([]) == cli.EXIT_USAGE
 
 
+    def test_undeclared_symmetry_is_input_error(self, tmp_path, capsys):
+        # max x3 s.t. x1 + x2 + x3 <= 1; (1,2,3) moves the objective.
+        bp = BinaryProgram(3, [0.0, 0.0, 1.0],
+                           [Row.make({0: 1.0, 1: 1.0, 2: 1.0}, "<=", 1.0)],
+                           None, [Permutation.from_cycles(3, [(1, 2, 3)])])
+        path = tmp_path / "bad.json"
+        write_instance("bad", bp, str(path))
+        rc = cli.main(["solve", "--instance", str(path), "--mode", "gen"])
+        assert rc == cli.EXIT_USAGE
+        assert "generator 1" in capsys.readouterr().err
+
+
 class TestPropagateAndOracle:
     def test_peek_closes_the_gap(self, cyclic5, capsys):
         rc = cli.main(["propagate", "--instance", cyclic5,

@@ -4,7 +4,8 @@ import pytest
 
 from cycfix.bench import gen_snark
 from cycfix.core import FixState, Permutation
-from cycfix.solver import (MODES, RELABELS, BinaryProgram, Row, Settings,
+from cycfix.solver import (EPS, MODES, RELABELS, BinaryProgram, Row,
+                           Settings, _row_propagate, _RowIndex,
                            node_propagate, solve)
 
 from conftest import brute_force_optimum, planted_symmetric_bp
@@ -80,6 +81,119 @@ class TestNodePropagate:
         peek = node_propagate(bp, fs.copy(), Settings(mode="peek"))
         assert nopeek.fixed0 == frozenset({1, 4})
         assert peek.fixed0 == frozenset({1, 3, 4})
+
+
+def _full_rescan_reference(bp, fs):
+    """The former row propagation loop: rescan every row until a full pass
+    fixes nothing."""
+    changed = True
+    while changed:
+        changed = False
+        for row in bp.rows:
+            lo = hi = 0.0
+            free = []
+            for i, a in row.coeffs:
+                v = fs.value(i)
+                if v is not None:
+                    lo += a * v
+                    hi += a * v
+                else:
+                    lo += min(a, 0.0)
+                    hi += max(a, 0.0)
+                    free.append((i, a))
+            if lo > row.rhs + EPS:
+                return False
+            if row.sense == "==" and hi < row.rhs - EPS:
+                return False
+            for i, a in free:
+                for v in (0, 1):
+                    new_lo = lo - min(a, 0.0) + a * v
+                    bad = new_lo > row.rhs + EPS
+                    if not bad and row.sense == "==":
+                        new_hi = hi - max(a, 0.0) + a * v
+                        bad = new_hi < row.rhs - EPS
+                    if bad:
+                        if fs.value(i) == v:
+                            return False
+                        if fs.value(i) is None:
+                            (fs.fixed1 if v == 0 else fs.fixed0).add(i)
+                            changed = True
+                        break
+    return True
+
+
+def _rand_rows_bp(rng, n):
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        m = rng.randint(1, min(5, n))
+        coeffs = {i: rng.choice((-3.0, -2.0, -1.0, -0.7, 0.1, 0.2, 1.0, 2.0))
+                  for i in rng.sample(range(n), m)}
+        # The rhs is the activity of a random 0/1 point, shifted up a
+        # little on '<=' rows, so that each row alone is satisfiable.
+        rhs = sum(a for a in coeffs.values() if rng.random() < 0.5)
+        if rng.random() < 0.3:
+            rows.append(Row.make(coeffs, "==", rhs))
+        else:
+            rows.append(Row.make(coeffs, "<=", rhs + rng.randint(0, 2)))
+    return simple_bp(n, rows)
+
+
+class TestRowQueue:
+    """The watch-queue row propagation against the full-rescan loop."""
+
+    def _outcome(self, prop, fs):
+        out = fs.copy()
+        ok = prop(out)
+        return (ok, out.fixed0, out.fixed1) if ok else (ok,)
+
+    def test_randomized_equivalence(self):
+        rng = random.Random(20221)
+        cases = fixing = infeasible = children = 0
+        while cases < 600:
+            n = rng.randint(2, 12)
+            bp = _rand_rows_bp(rng, n)
+            index = _RowIndex(bp)
+            fs = FixState(n)
+            for i in rng.sample(range(n), rng.randint(0, n // 3)):
+                (fs.fixed0 if rng.random() < 0.5 else fs.fixed1).add(i)
+            want = self._outcome(lambda f: _full_rescan_reference(bp, f), fs)
+            got = self._outcome(lambda f: _row_propagate(index, f), fs)
+            assert got == want, (bp, fs)
+            cases += 1
+            if not want[0]:
+                infeasible += 1
+                continue
+            if len(want[1]) + len(want[2]) > len(fs.fixed0) + len(fs.fixed1):
+                fixing += 1
+            # A child: the fixpoint plus one branching fixing, seeded from
+            # that entry's rows only.
+            parent = FixState(n, want[1], want[2])
+            free = parent.unfixed()
+            if not free:
+                continue
+            i = rng.choice(free)
+            child = parent.copy()
+            (child.fixed0 if rng.random() < 0.5 else child.fixed1).add(i)
+            want = self._outcome(lambda f: _full_rescan_reference(bp, f),
+                                 child)
+            got = self._outcome(lambda f: _row_propagate(index, f, (i,)),
+                                child)
+            assert got == want, (bp, child, i)
+            children += 1
+        # The cases reach every branch: new fixings, conflicts, children.
+        assert fixing >= 150 and infeasible >= 100 and children >= 250
+
+    def test_child_seed_wakes_only_the_branching_rows(self):
+        bp = simple_bp(4, [Row.make({0: 1.0, 1: 1.0}, "<=", 1.0),
+                           Row.make({2: 1.0, 3: 1.0}, "<=", 1.0)])
+        index = _RowIndex(bp)
+        assert index.watch == [[0], [0], [1], [1]]
+        # x2 = 1 is not a fixpoint of row 1, but only x0's rows are woken.
+        fs = FixState(4, set(), {0, 2})
+        assert _row_propagate(index, fs, (0,))
+        assert fs.fixed0 == {1}
+        assert _row_propagate(index, fs)
+        assert fs.fixed0 == {1, 3}
 
 
 class TestSolve:
@@ -181,3 +295,55 @@ def test_snark_search_pinned(m, mode):
         res = solve(bp, Settings(mode=mode, relabel=rl))
         assert (res.status, res.nodes, res.sym_fixings) == \
             ("infeasible", nodes, fixings), rl
+
+
+# (nodes, sym_fixings) of flower snark solves in the modes whose work is row
+# propagation; every one is infeasible.
+SNARK_ROW_PINS = {
+    (5, "original"): {"nosym": (299, 0), "gen": (53, 5), "group": (53, 14)},
+    (5, "respect"): {"nosym": (531, 0), "gen": (67, 8), "group": (51, 20)},
+    (7, "original"): {"nosym": (1331, 0), "gen": (225, 5),
+                      "group": (193, 32)},
+    (7, "respect"): {"nosym": (2627, 0), "gen": (315, 12),
+                     "group": (193, 34)},
+}
+
+
+@pytest.mark.parametrize("m, rl", sorted(SNARK_ROW_PINS))
+def test_snark_row_search_pinned(m, rl):
+    _, bp = gen_snark(m)
+    for mode, (nodes, fixings) in SNARK_ROW_PINS[m, rl].items():
+        res = solve(bp, Settings(mode=mode, relabel=rl))
+        assert (res.status, res.nodes, res.sym_fixings) == \
+            ("infeasible", nodes, fixings), mode
+
+
+class TestUndeclaredSymmetry:
+    """max x3 s.t. x1 + x2 + x3 <= 1 with (1,2,3) declared: the cycle maps
+    the objective onto x1, so it is no symmetry, and propagating it would
+    fix x3 = 0 and report optimum 0."""
+
+    def program(self):
+        return simple_bp(3, [Row.make({0: 1.0, 1: 1.0, 2: 1.0}, "<=", 1.0)],
+                         [Permutation.from_cycles(3, [(1, 2, 3)])],
+                         objective=[0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("mode", [m for m in MODES if m != "nosym"])
+    def test_symmetry_modes_reject(self, mode):
+        with pytest.raises(ValueError, match="generator 1"):
+            solve(self.program(), Settings(mode=mode))
+
+    def test_nosym_ignores_generators(self):
+        res = solve(self.program(), Settings(mode="nosym"))
+        assert (res.status, res.objective) == ("optimal", 1.0)
+
+    def test_check_generators_names_the_first_bad_one(self):
+        good = Permutation.from_cycles(3, [(1, 2)])
+        bp = simple_bp(3, [Row.make({0: 1.0, 1: 1.0}, "<=", 1.0)],
+                       [good, Permutation.identity(3),
+                        Permutation.from_cycles(3, [(1, 3)])],
+                       objective=[1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="generator 3"):
+            bp.check_generators()
+        bp.generators.pop()
+        bp.check_generators()
