@@ -1,13 +1,12 @@
 """Complete propagation for cyclic groups with monotone generators.
 
-Two levels of structure are handled:
-
-- a group generated by a single monotone cycle (or a subgroup of one):
-  :func:`complete_fix_monotone_group` finds the full maximal fixing sets by
-  per-permutation propagation plus feasibility peeking;
-- a generator composed of ordered monotone subcycles:
-  :func:`propagate_ordered_monotone` processes the blocks left to right,
-  shrinking the acting subgroup through stabilizer filtering.
+:func:`propagate_ordered_monotone` handles a generator composed of ordered
+monotone subcycles: it processes the blocks left to right, drives each
+block to per-permutation completeness, peeks its undecided entries, and
+shrinks the acting subgroup through stabilizer filtering.  A group
+generated by a single monotone cycle (or a subgroup of one) is the case of
+one block; :func:`complete_fix_monotone_group` checks that shape and runs
+the same code.
 
 A monotone cycle visits its support in sorted order, so its entries behave
 like a rotation of the induced positions; positions outside the support
@@ -227,38 +226,11 @@ def complete_fix_monotone_group(
 ) -> PropagationResult:
     """Maximal fixing sets for lex-leaders under a monotone cyclic group.
 
-    First drives every group element's constraint to completeness, then
-    peeks both values of each remaining unfixed support entry; an
-    infeasible peek makes the opposite value permanent.  A cached witness
-    vector skips peeks whose outcome it already certifies.
+    A single monotone cycle is an ordered generator with one block, so this
+    is :func:`propagate_ordered_monotone` once the generator is checked.
     """
-    support = _monotone_support(group)
-    n = group.n
-    elems = group.elements()
-    base = _feasible_with(elems, n, set(fixings.fixed0), set(fixings.fixed1))
-    if base is None:
-        return PropagationResult.infeasible()
-    if not elems:
-        return base
-    j0, j1 = set(base.fixed0), set(base.fixed1)
-    witness = prop4_witness(group, j0, j1)
-    for i in support:
-        if i in j0 or i in j1:
-            continue
-        if witness[i] != 0:
-            t = _feasible_with(elems, n, j0 | {i}, set(j1))
-            if t is None:
-                j1.add(i)
-                continue
-            witness = prop4_witness(group, set(t.fixed0), set(t.fixed1))
-        if witness[i] != 1:
-            t = _feasible_with(elems, n, set(j0), j1 | {i})
-            if t is None:
-                j0.add(i)
-                # the cached witness has x_i = 0 already
-            else:
-                witness = prop4_witness(group, set(t.fixed0), set(t.fixed1))
-    return PropagationResult.of(j0, j1)
+    _monotone_support(group)
+    return propagate_ordered_monotone(group, fixings)
 
 
 def group_feasible_monotone(group: CyclicSubgroup, fixings: FixState) -> bool:

@@ -95,30 +95,24 @@ def propagate_set(
             raise ValueError("permutation ground set %d != %d" % (g.n, n))
         if g.is_identity():
             raise ValueError("identity permutation is not a constraint")
-    fix0 = set(fixings.fixed0)
-    fix1 = set(fixings.fixed1)
-    feasible, fix0, fix1, _states = _kern.propagate_set_raw(
-        perms, fix0, fix1, n,
-        check_invariants=check_invariants, touched=touched)
-    if not feasible:
-        return PropagationResult.infeasible()
-    return PropagationResult.of(fix0, fix1)
+    return propagate_set_with_states(
+        perms, fixings, check_invariants, touched)[0]
 
 
 def propagate_set_with_states(
     perms: Sequence[Permutation],
     fixings: FixState,
     check_invariants: bool = False,
+    touched: Optional[Set[int]] = None,
 ) -> Tuple[PropagationResult, List]:
-    """Like propagate_set but also returns the final per-permutation states.
+    """Like propagate_set, without its input checks, but also returns the
+    final per-permutation states.
 
     Test hook: lets tests inspect final trees, horizons and vertex counters.
     """
-    n = fixings.n
-    fix0 = set(fixings.fixed0)
-    fix1 = set(fixings.fixed1)
     feasible, fix0, fix1, states = _kern.propagate_set_raw(
-        perms, fix0, fix1, n, check_invariants=check_invariants)
+        perms, set(fixings.fixed0), set(fixings.fixed1), fixings.n,
+        check_invariants=check_invariants, touched=touched)
     if not feasible:
         return PropagationResult.infeasible(), states
     return PropagationResult.of(fix0, fix1), states

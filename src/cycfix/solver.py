@@ -4,12 +4,15 @@ The solver is LP-free: bounding uses the sum of positive unfixed objective
 coefficients, domain reduction uses min/max row activities, and symmetry
 handling is pure node-local propagation in one of five modes (listed below).
 
-Row propagation is event-driven.  A per-solve index (:class:`_RowIndex`)
-maps each variable to the rows that contain it, and a queue rechecks only
-rows one of whose variables was fixed.  A search child differs from its
-parent's fixpoint by its branching fixing alone, so its queue starts from
-that variable's rows; after the symmetry units add fixings, it starts from
-the rows of the newly fixed variables.  The modes:
+:func:`node_propagate` holds the one fixpoint loop over propagators: each
+turn runs the row queue, then one pass over the symmetry units, and stops
+after a pass that fixes nothing.  Row propagation is event-driven.  A
+per-solve index (:class:`_RowIndex`) maps each variable to the rows that
+contain it, and a queue rechecks only rows one of whose variables was
+fixed.  A search child differs from its parent's fixpoint by its branching
+fixing alone, so its first queue starts from that variable's rows; a later
+turn's queue starts from the rows of the entries the symmetry pass fixed.
+The modes:
 
 - ``nosym``  — no symmetry handling;
 - ``gen``    — propagate each declared generator's constraint individually;
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import FixState, Permutation, group_elements, is_monotone_ordered
@@ -59,9 +62,6 @@ class Row:
         if sense not in ("<=", "=="):
             raise ValueError("row sense must be '<=' or '==', got %r" % sense)
         return cls(tuple(sorted(coeffs.items())), sense, rhs)
-
-    def coeff_dict(self) -> Dict[int, float]:
-        return dict(self.coeffs)
 
 
 def _round9(v: float) -> float:
@@ -230,22 +230,17 @@ class _SymmetryEngine:
                         self.units.append(("powers", elems))
 
     def propagate(self, fs: FixState, stats: Dict[str, float]) -> bool:
-        """Run all symmetry units to a joint fixpoint; False = infeasible."""
+        """One pass over the symmetry units; False = infeasible.
+
+        :func:`node_propagate` repeats the pass, with the rows in between,
+        until a pass fixes nothing.
+        """
         if not self.units:
             return True
         t0 = time.perf_counter()
+        before = len(fs.fixed0) + len(fs.fixed1)
         try:
-            return self._propagate(fs, stats)
-        finally:
-            stats["sym_time"] = stats.get("sym_time", 0.0) \
-                + (time.perf_counter() - t0)
-
-    def _propagate(self, fs: FixState, stats: Dict[str, float]) -> bool:
-        changed = True
-        while changed:
-            changed = False
             for kind, unit in self.units:
-                before = len(fs.fixed0) + len(fs.fixed1)
                 if kind == "perms":
                     res = propagate_set(unit, fs)
                 elif kind == "ordered":
@@ -258,12 +253,12 @@ class _SymmetryEngine:
                 assert res.fixed0 is not None and res.fixed1 is not None
                 fs.fixed0 |= res.fixed0
                 fs.fixed1 |= res.fixed1
-                after = len(fs.fixed0) + len(fs.fixed1)
-                if after != before:
-                    stats["sym_fixings"] = stats.get("sym_fixings", 0) \
-                        + (after - before)
-                    changed = True
-        return True
+            return True
+        finally:
+            stats["sym_fixings"] = stats.get("sym_fixings", 0) \
+                + len(fs.fixed0) + len(fs.fixed1) - before
+            stats["sym_time"] = stats.get("sym_time", 0.0) \
+                + (time.perf_counter() - t0)
 
     def _powers(self, elems: List[Permutation],
                 fs: FixState) -> PropagationResult:
@@ -379,6 +374,11 @@ def node_propagate(
 ) -> PropagationResult:
     """Row propagation and symmetry propagation to a joint fixpoint.
 
+    This is the solver's one fixpoint loop over propagators.  Each turn
+    runs the row queue, then one pass over the symmetry units; the entries
+    that pass fixes seed the next turn's row queue, and a pass that fixes
+    nothing ends the loop.
+
     ``fixings`` is extended in place.  ``branched`` says that ``fixings`` is
     a row fixpoint plus the fixing of that one entry, as at a search child,
     so only that entry's rows are queued at first; without it every row is.
@@ -457,21 +457,24 @@ def solve(bp: BinaryProgram, settings: Settings = Settings()) -> SolveResult:
         res = node_propagate(work, fs, settings, engine, stats, rows, branched)
         if not res.feasible:
             continue
-        bound = sum(work.objective[i] for i in fs.fixed1) + \
+        f0, f1 = fs.fixed0, fs.fixed1
+        bound = sum(work.objective[i] for i in f1) + \
             sum(c for i, c in enumerate(work.objective)
-                if c > 0 and not fs.is_fixed(i))
+                if c > 0 and i not in f0 and i not in f1)
         if best_obj is not None and bound <= best_obj + EPS:
             continue
-        free = fs.unfixed()
-        if not free:
-            x = tuple(1 if i in fs.fixed1 else 0 for i in range(n))
+        # The parent branched on its lowest unfixed entry, so every entry
+        # below a child's branching entry is fixed already.
+        i = next((j for j in range(0 if branched is None else branched + 1, n)
+                  if j not in f0 and j not in f1), None)
+        if i is None:
+            x = tuple(1 if j in f1 else 0 for j in range(n))
             if work.is_feasible(x):
                 obj = work.objective_value(x)
                 if best_obj is None or obj > best_obj + EPS:
                     best_obj = obj
                     best_x = x
             continue
-        i = free[0]
         zero = fs.copy()
         zero.fixed0.add(i)
         one = fs.copy()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cycfix import solver as solver_module
 from cycfix.bench import gen_snark
 from cycfix.core import FixState, Permutation
 from cycfix.solver import (EPS, MODES, RELABELS, BinaryProgram, Row,
@@ -196,6 +197,80 @@ class TestRowQueue:
         assert fs.fixed0 == {1, 3}
 
 
+def _nested_loop_reference(fs, engine, rows, branched):
+    """The former node loop: the rows, then the symmetry units run to their
+    own fixpoint (passes repeated until one fixes nothing), until the units
+    fix nothing.  Extends ``fs`` in place; returns (feasible, the number of
+    symmetry passes that fixed something)."""
+    stats = {}
+    fixing_passes = 0
+    wake = None if branched is None else (branched,)
+    while True:
+        if not _row_propagate(rows, fs, wake):
+            return False, fixing_passes
+        seen = fs.fixed0 | fs.fixed1
+        while True:
+            before = len(fs.fixed0) + len(fs.fixed1)
+            if not engine.propagate(fs, stats):
+                return False, fixing_passes
+            if len(fs.fixed0) + len(fs.fixed1) == before:
+                break
+            fixing_passes += 1
+        if len(fs.fixed0) + len(fs.fixed1) == len(seen):
+            return True, fixing_passes
+        wake = (fs.fixed0 | fs.fixed1) - seen
+
+
+class TestOneFixpointLoop:
+    """node_propagate's one loop against the former nested loop, at every
+    node of whole searches: the same fixing sets, or both infeasible."""
+
+    def _solve_checked(self, monkeypatch, bp, settings, tally):
+        def checked(work, fs, settings, engine, stats, rows, branched):
+            ref = fs.copy()
+            ok, passes = _nested_loop_reference(ref, engine, rows, branched)
+            res = node_propagate(work, fs, settings, engine, stats, rows,
+                                 branched)
+            assert res.feasible == ok
+            if ok:
+                assert (fs.fixed0, fs.fixed1) == (ref.fixed0, ref.fixed1)
+            tally["nodes"] += 1
+            tally["sym"] += passes >= 1
+            tally["multi"] += passes >= 2
+            return res
+        monkeypatch.setattr(solver_module, "node_propagate", checked)
+        return solve(bp, settings)
+
+    @pytest.mark.parametrize("m", (3, 5))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_snark_nodes(self, monkeypatch, m, mode):
+        _, bp = gen_snark(m)
+        tally = {"nodes": 0, "sym": 0, "multi": 0}
+        for rl in RELABELS:
+            res = self._solve_checked(
+                monkeypatch, bp, Settings(mode=mode, relabel=rl), tally)
+            assert res.status == "infeasible"
+        # The cases reach nodes where the units fix entries, and in the
+        # modes group, nopeek and peek nodes where the former loop's second
+        # pass fixed more.
+        if mode != "nosym":
+            assert tally["sym"] >= 8
+        if mode in ("group", "nopeek", "peek"):
+            assert tally["multi"] >= 1
+
+    def test_planted_nodes(self, monkeypatch):
+        rng = random.Random(20226)
+        tally = {"nodes": 0, "sym": 0, "multi": 0}
+        for k in range(200):
+            bp = planted_symmetric_bp(rng, rng.randint(4, 10))
+            rl = RELABELS[k % len(RELABELS)]
+            for mode in MODES:
+                self._solve_checked(
+                    monkeypatch, bp, Settings(mode=mode, relabel=rl), tally)
+        assert tally["nodes"] >= 10000
+        assert tally["sym"] >= 1000 and tally["multi"] >= 5
+
+
 class TestSolve:
     def test_unconstrained_all_ones(self):
         bp = simple_bp(4)
@@ -277,13 +352,13 @@ class TestSafeguardCaps:
 # (nodes, sym_fixings) of flower snark solves per relabeling; every one is
 # infeasible.
 SNARK_PINS = {
-    (3, "nopeek"): {"original": (21, 8), "max": (21, 19),
+    (3, "nopeek"): {"original": (21, 4), "max": (21, 19),
                     "min": (17, 9), "respect": (17, 10)},
-    (3, "peek"): {"original": (21, 8), "max": (21, 19),
+    (3, "peek"): {"original": (21, 4), "max": (21, 19),
                   "min": (17, 9), "respect": (17, 10)},
-    (5, "nopeek"): {"original": (53, 14), "max": (113, 42),
+    (5, "nopeek"): {"original": (53, 6), "max": (113, 42),
                     "min": (51, 19), "respect": (51, 20)},
-    (5, "peek"): {"original": (53, 14), "max": (113, 39),
+    (5, "peek"): {"original": (53, 6), "max": (113, 39),
                   "min": (51, 18), "respect": (51, 19)},
 }
 
@@ -300,10 +375,10 @@ def test_snark_search_pinned(m, mode):
 # (nodes, sym_fixings) of flower snark solves in the modes whose work is row
 # propagation; every one is infeasible.
 SNARK_ROW_PINS = {
-    (5, "original"): {"nosym": (299, 0), "gen": (53, 5), "group": (53, 14)},
+    (5, "original"): {"nosym": (299, 0), "gen": (53, 5), "group": (53, 6)},
     (5, "respect"): {"nosym": (531, 0), "gen": (67, 8), "group": (51, 20)},
     (7, "original"): {"nosym": (1331, 0), "gen": (225, 5),
-                      "group": (193, 32)},
+                      "group": (193, 20)},
     (7, "respect"): {"nosym": (2627, 0), "gen": (315, 12),
                      "group": (193, 34)},
 }
