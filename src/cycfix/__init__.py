@@ -18,16 +18,10 @@ from .core import (
     LexOutcome,
     Permutation,
     SubcycleDecomposition,
-    apply,
-    compose,
     group_elements,
-    identity,
-    inverse,
     is_monotone,
     is_monotone_ordered,
     lex_compare_upto,
-    order,
-    restrict,
 )
 from .imptree import PropagationResult, propagate_set
 
@@ -38,17 +32,11 @@ __all__ = [
     "Permutation",
     "PropagationResult",
     "SubcycleDecomposition",
-    "apply",
-    "compose",
     "group_elements",
-    "identity",
-    "inverse",
     "is_monotone",
     "is_monotone_ordered",
     "lex_compare_upto",
-    "order",
     "propagate_set",
-    "restrict",
 ]
 
 __version__ = "0.1.0"

@@ -84,9 +84,9 @@ class ImplicationTree(object):
             if lst is not None and v in lst:
                 lst.remove(v)
 
-    def remove_subtree(self, v, detach=True):
+    def remove_subtree(self, v):
         """Remove v and all its descendants from the tree."""
-        if detach and v.parent is not None and v in v.parent.children:
+        if v.parent is not None and v in v.parent.children:
             v.parent.children.remove(v)
         stack = [v]
         while stack:
@@ -96,13 +96,9 @@ class ImplicationTree(object):
             w.children = []
 
     def remove_descendants(self, v):
-        stack = list(v.children)
-        v.children = []
-        while stack:
-            w = stack.pop()
-            self._unregister(w)
-            stack.extend(w.children)
-            w.children = []
+        children, v.children = v.children, []
+        for c in children:
+            self.remove_subtree(c)
 
     def splice_out(self, v):
         """Remove v, reattaching its children to v's parent in place."""
@@ -188,16 +184,7 @@ def h_value(state, fix0, fix1, entry, loose):
     An entry counts as set if it is globally fixed or if a fixing vertex on
     the loose end's rooted path carries it; the two cannot disagree.
     """
-    if entry in fix0:
-        return 0
-    if entry in fix1:
-        return 1
-    u = loose.parent
-    while u is not None:
-        if u.kind in (CONDITIONAL, NECESSARY) and u.entry == entry:
-            return u.value
-        u = u.parent
-    return None
+    return _h_pair(fix0, fix1, entry, entry, loose)[0]
 
 
 def _h_pair(fix0, fix1, ei, ej, loose):

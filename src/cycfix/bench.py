@@ -269,7 +269,6 @@ class RunRow:
     instance: str
     mode: str
     relabel: str
-    seed: int
     status: str
     time: float
     nodes: int
@@ -294,11 +293,11 @@ class ExperimentReport:
         return [r.time for r in self.rows if not r.failed]
 
     def to_text(self) -> str:
-        lines = ["instance\tmode\trelabel\tseed\tstatus\ttime\tnodes"
+        lines = ["instance\tmode\trelabel\tstatus\ttime\tnodes"
                  "\tsym_fixings\tsym_time\terror"]
         for r in self.rows:
-            lines.append("%s\t%s\t%s\t%d\t%s\t%.3f\t%d\t%d\t%.3f\t%s" % (
-                r.instance, r.mode, r.relabel, r.seed, r.status, r.time,
+            lines.append("%s\t%s\t%s\t%s\t%.3f\t%d\t%d\t%.3f\t%s" % (
+                r.instance, r.mode, r.relabel, r.status, r.time,
                 r.nodes, r.sym_fixings, r.sym_time,
                 " ".join(r.error.split())))
         times = self.times()
@@ -321,16 +320,16 @@ class ExperimentReport:
 
 
 def _run_one(args) -> RunRow:
-    name, bp, mode, rl, seed, time_limit = args
+    name, bp, mode, rl, time_limit = args
     try:
         res: SolveResult = solve(bp, Settings(
-            mode=mode, relabel=rl, seed=seed, time_limit=time_limit))
+            mode=mode, relabel=rl, time_limit=time_limit))
         t = res.wall_time if res.status != "timelimit" else \
             (time_limit if time_limit is not None else res.wall_time)
-        return RunRow(name, mode, rl, seed, res.status, t,
+        return RunRow(name, mode, rl, res.status, t,
                       res.nodes, res.sym_fixings, res.sym_time)
     except Exception as exc:  # recorded, never aborts the grid
-        return RunRow(name, mode, rl, seed, "error:%s" % type(exc).__name__,
+        return RunRow(name, mode, rl, "error:%s" % type(exc).__name__,
                       0.0, 0, 0, 0.0, str(exc))
 
 
@@ -338,12 +337,11 @@ def run_experiment(
     instances: Sequence[Tuple[str, BinaryProgram]],
     modes: Sequence[str],
     relabels: Sequence[str],
-    seeds: Sequence[int],
     time_limit: Optional[float] = None,
     jobs: int = 1,
 ) -> ExperimentReport:
     """Full factorial grid; deterministic row order regardless of workers."""
-    if not instances or not modes or not relabels or not seeds:
+    if not instances or not modes or not relabels:
         raise ValueError("experiment grid must be nonempty in every axis")
     for mode in modes:
         if mode not in MODES:
@@ -351,13 +349,12 @@ def run_experiment(
     for rl in relabels:
         if rl not in RELABELS:
             raise ValueError("unknown relabel strategy %r" % rl)
-    grid = [(name, bp, mode, rl, seed, time_limit)
-            for name, bp in instances
-            for mode in modes for rl in relabels for seed in seeds]
+    grid = [(name, bp, mode, rl, time_limit)
+            for name, bp in instances for mode in modes for rl in relabels]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_one, grid))
     else:
         rows = [_run_one(g) for g in grid]
-    rows.sort(key=lambda r: (r.instance, r.mode, r.relabel, r.seed))
+    rows.sort(key=lambda r: (r.instance, r.mode, r.relabel))
     return ExperimentReport(rows)

@@ -105,11 +105,10 @@ def _fix_state(args, bp: BinaryProgram) -> FixState:
     return fs
 
 
-def _cmd_solve(args, argv) -> int:
+def _cmd_solve(args) -> int:
     name, bp = _load_instance(args.instance)
     settings = Settings(
-        mode=args.mode, relabel=args.relabel, seed=args.seed,
-        time_limit=args.time_limit)
+        mode=args.mode, relabel=args.relabel, time_limit=args.time_limit)
     res = solve(bp, settings)
     print("instance: %s" % name)
     print("status: %s" % res.status)
@@ -128,7 +127,7 @@ def _cmd_solve(args, argv) -> int:
     return EXIT_OK
 
 
-def _cmd_propagate(args, argv) -> int:
+def _cmd_propagate(args) -> int:
     name, bp = _load_instance(args.instance)
     fs = _fix_state(args, bp)
     res = node_propagate(bp, fs.copy(), Settings(mode=args.mode))
@@ -162,7 +161,7 @@ def _group_closure(generators: Sequence[Permutation], limit: int = 100000):
     return [g for g in seen if not g.is_identity()]
 
 
-def _cmd_oracle(args, argv) -> int:
+def _cmd_oracle(args) -> int:
     name, bp = _load_instance(args.instance)
     fs = _fix_state(args, bp)
     perms = _group_closure(bp.generators)
@@ -180,7 +179,7 @@ def _cmd_oracle(args, argv) -> int:
     return EXIT_OK
 
 
-def _cmd_gen_snark(args, argv) -> int:
+def _cmd_gen_snark(args) -> int:
     try:
         name, bp = bench.gen_snark(args.n)
     except ValueError as exc:
@@ -192,7 +191,7 @@ def _cmd_gen_snark(args, argv) -> int:
     return EXIT_OK
 
 
-def _cmd_experiment(args, argv) -> int:
+def _cmd_experiment(args) -> int:
     if not args.grid:
         raise UsageError("--grid is required")
     try:
@@ -200,7 +199,7 @@ def _cmd_experiment(args, argv) -> int:
             grid = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError("grid %s: %s" % (args.grid, exc))
-    known = {"instances", "modes", "relabels", "seeds", "time_limit", "jobs"}
+    known = {"instances", "modes", "relabels", "time_limit", "jobs"}
     unknown = set(grid) - known
     if unknown:
         raise UsageError("grid: unknown keys %s" % ", ".join(sorted(unknown)))
@@ -212,7 +211,6 @@ def _cmd_experiment(args, argv) -> int:
             instances,
             modes=grid.get("modes", list(MODES)),
             relabels=grid.get("relabels", list(RELABELS)),
-            seeds=grid.get("seeds", [0]),
             time_limit=grid.get("time_limit"),
             jobs=int(grid.get("jobs", args.jobs)),
         )
@@ -242,7 +240,6 @@ def build_parser() -> _Parser:
     p.add_argument("--instance")
     p.add_argument("--mode", choices=MODES, default="peek")
     p.add_argument("--relabel", choices=RELABELS, default="original")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=_cmd_solve)
 
@@ -289,7 +286,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _apply_config(args, argv)
         if args.command == "gen-snark" and args.n is None:
             raise UsageError("--n is required")
-        return args.func(args, argv)
+        return args.func(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -208,33 +208,6 @@ class Permutation:
         return "Permutation[n=%d]%s" % (self.n, body)
 
 
-# -- module-level helpers mirroring the verb-style API ----------------------
-
-
-def apply(perm: Permutation, x: Sequence[int]) -> Tuple[int, ...]:
-    return perm.apply(x)
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    return a.compose(b)
-
-
-def inverse(a: Permutation) -> Permutation:
-    return a.inverse()
-
-
-def identity(n: int) -> Permutation:
-    return Permutation.identity(n)
-
-
-def order(perm: Permutation) -> int:
-    return perm.order()
-
-
-def restrict(perm: Permutation, indices: Iterable[int]) -> Permutation:
-    return perm.restrict(indices)
-
-
 def group_elements(
     gen: Permutation,
     max_count: int = 10**4,
@@ -365,7 +338,12 @@ class FixState:
         return [i for i in range(self.n) if not self.is_fixed(i)]
 
     def copy(self) -> "FixState":
-        return FixState(self.n, self.fixed0, self.fixed1)
+        # No range check: a copy holds no entry its source did not.
+        fs = FixState.__new__(FixState)
+        fs.n = self.n
+        fs.fixed0 = set(self.fixed0)
+        fs.fixed1 = set(self.fixed1)
+        return fs
 
     def __eq__(self, other: object) -> bool:
         return (

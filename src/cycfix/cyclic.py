@@ -251,7 +251,6 @@ def group_feasible_monotone(group: CyclicSubgroup, fixings: FixState) -> bool:
 def propagate_ordered_monotone(
     group: CyclicSubgroup,
     fixings: FixState,
-    start_block: int = 1,
     compute_fixings: bool = True,
 ) -> PropagationResult:
     """Block-wise complete propagation for ordered monotone generators.
@@ -268,7 +267,7 @@ def propagate_ordered_monotone(
     are returned: they are valid fixings regardless, and callers that only
     want the feasibility verdict can ignore them.
     """
-    return _propagate_ordered(group, fixings, start_block, compute_fixings)[0]
+    return _propagate_ordered(group, fixings, 1, compute_fixings)[0]
 
 
 def _propagate_ordered(
@@ -285,8 +284,6 @@ def _propagate_ordered(
             "generator is not an ordered composition of monotone cycles")
     blocks = decomp.blocks
     m = len(blocks)
-    if not 1 <= start_block <= m:
-        raise ValueError("start_block %d outside 1..%d" % (start_block, m))
     n = group.n
     if not fixings.is_consistent():
         return PropagationResult.infeasible(), None

@@ -29,7 +29,6 @@ up front so generators become monotone/ordered and maps incumbents back.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -42,11 +41,6 @@ MODES = ("nosym", "gen", "group", "nopeek", "peek")
 RELABELS = ("original", "max", "min", "respect")
 
 EPS = 1e-9
-
-ENV_MAX_PERMS = "CYCFIX_MAX_PERMS"
-ENV_MAX_WEIGHT = "CYCFIX_MAX_WEIGHT"
-DEFAULT_MAX_PERMS = 10**4
-DEFAULT_MAX_WEIGHT = 5 * 10**6
 
 
 @dataclass(frozen=True)
@@ -157,37 +151,17 @@ class BinaryProgram:
         return True
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError("%s must be an integer, got %r" % (name, raw))
-
-
 @dataclass(frozen=True)
 class Settings:
     mode: str = "nosym"
     relabel: str = "original"
-    seed: int = 0
     time_limit: Optional[float] = None
-    max_perms: Optional[int] = None
-    max_weight: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError("unknown mode %r" % (self.mode,))
         if self.relabel not in RELABELS:
             raise ValueError("unknown relabel strategy %r" % (self.relabel,))
-
-    def perm_caps(self) -> Tuple[int, int]:
-        mc = self.max_perms if self.max_perms is not None else \
-            _env_int(ENV_MAX_PERMS, DEFAULT_MAX_PERMS)
-        mw = self.max_weight if self.max_weight is not None else \
-            _env_int(ENV_MAX_WEIGHT, DEFAULT_MAX_WEIGHT)
-        return mc, mw
 
 
 @dataclass
@@ -199,11 +173,17 @@ class SolveResult:
     sym_fixings: int
     wall_time: float
     sym_time: float
-    seed: int = 0
 
 
 class _SymmetryEngine:
-    """Per-solve precomputation of the symmetry propagation strategy."""
+    """Per-solve precomputation of the symmetry propagation strategy.
+
+    A unit is ``("ordered", subgroup)`` for an ordered monotone generator
+    in ``nopeek``/``peek``, or ``("perms", permutations)`` for a list that
+    :func:`propagate_set` drives: the generators in ``gen``, one
+    generator's (safeguard-capped) powers otherwise.  In ``peek`` the only
+    ``"perms"`` units are that fallback, and they are peeked.
+    """
 
     def __init__(self, bp: BinaryProgram, settings: Settings):
         self.mode = settings.mode
@@ -211,23 +191,16 @@ class _SymmetryEngine:
         gens = [g for g in bp.generators if not g.is_identity()]
         if self.mode == "nosym" or not gens:
             return
-        mc, mw = settings.perm_caps()
         if self.mode == "gen":
             self.units.append(("perms", gens))
-        elif self.mode == "group":
-            for g in gens:
-                elems = group_elements(g, mc, mw)
+            return
+        for g in gens:
+            if self.mode != "group" and is_monotone_ordered(g) is not None:
+                self.units.append(("ordered", CyclicSubgroup.generated_by(g)))
+            else:
+                elems = group_elements(g)
                 if elems:
                     self.units.append(("perms", elems))
-        else:  # nopeek / peek
-            for g in gens:
-                if is_monotone_ordered(g) is not None:
-                    self.units.append(
-                        ("ordered", CyclicSubgroup.generated_by(g)))
-                else:
-                    elems = group_elements(g, mc, mw)
-                    if elems:
-                        self.units.append(("powers", elems))
 
     def propagate(self, fs: FixState, stats: Dict[str, float]) -> bool:
         """One pass over the symmetry units; False = infeasible.
@@ -239,15 +212,16 @@ class _SymmetryEngine:
             return True
         t0 = time.perf_counter()
         before = len(fs.fixed0) + len(fs.fixed1)
+        peek = self.mode == "peek"
         try:
             for kind, unit in self.units:
-                if kind == "perms":
-                    res = propagate_set(unit, fs)
-                elif kind == "ordered":
+                if kind == "ordered":
                     res = propagate_ordered_monotone(
-                        unit, fs, compute_fixings=(self.mode == "peek"))
-                else:  # powers fallback for nopeek/peek
-                    res = self._powers(unit, fs)
+                        unit, fs, compute_fixings=peek)
+                elif peek:
+                    res = _peek_perms(unit, fs)
+                else:
+                    res = propagate_set(unit, fs)
                 if not res.feasible:
                     return False
                 assert res.fixed0 is not None and res.fixed1 is not None
@@ -260,26 +234,26 @@ class _SymmetryEngine:
             stats["sym_time"] = stats.get("sym_time", 0.0) \
                 + (time.perf_counter() - t0)
 
-    def _powers(self, elems: List[Permutation],
-                fs: FixState) -> PropagationResult:
-        touched: Set[int] = set()
-        res = propagate_set(elems, fs, touched=touched)
-        if not res.feasible or self.mode == "nopeek":
-            return res
-        # Peeking fallback: single-value feasibility tests on the entries
-        # whose values the propagation run looked up.
-        j0, j1 = set(res.fixed0), set(res.fixed1)
-        for i in sorted(touched):
-            if i in j0 or i in j1:
-                continue
-            t0 = propagate_set(elems, FixState(fs.n, j0 | {i}, j1))
-            if not t0.feasible:
-                j1.add(i)
-                continue
-            t1 = propagate_set(elems, FixState(fs.n, j0, j1 | {i}))
-            if not t1.feasible:
-                j0.add(i)
-        return PropagationResult.of(j0, j1)
+
+def _peek_perms(elems: List[Permutation], fs: FixState) -> PropagationResult:
+    """:func:`propagate_set` plus single-value feasibility tests (peeks) on
+    the entries whose values the propagation run looked up."""
+    touched: Set[int] = set()
+    res = propagate_set(elems, fs, touched=touched)
+    if not res.feasible:
+        return res
+    j0, j1 = set(res.fixed0), set(res.fixed1)
+    for i in sorted(touched):
+        if i in j0 or i in j1:
+            continue
+        t0 = propagate_set(elems, FixState(fs.n, j0 | {i}, j1))
+        if not t0.feasible:
+            j1.add(i)
+            continue
+        t1 = propagate_set(elems, FixState(fs.n, j0, j1 | {i}))
+        if not t1.feasible:
+            j0.add(i)
+    return PropagationResult.of(j0, j1)
 
 
 class _RowIndex:
@@ -499,5 +473,4 @@ def solve(bp: BinaryProgram, settings: Settings = Settings()) -> SolveResult:
         sym_fixings=int(stats.get("sym_fixings", 0)),
         wall_time=wall,
         sym_time=float(stats.get("sym_time", 0.0)),
-        seed=settings.seed,
     )

@@ -158,27 +158,26 @@ class TestExperiment:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            run_experiment([], ["nosym"], ["original"], [0])
+            run_experiment([], ["nosym"], ["original"])
         with pytest.raises(ValueError):
-            run_experiment([self.small_instance()], [], ["original"], [0])
+            run_experiment([self.small_instance()], [], ["original"])
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            run_experiment([self.small_instance()], ["bogus"],
-                           ["original"], [0])
+            run_experiment([self.small_instance()], ["bogus"], ["original"])
 
     def test_grid_rows_sorted_and_complete(self):
         rep = run_experiment([self.small_instance()],
-                             ["group", "nosym"], ["original"], [1, 0])
-        keys = [(r.instance, r.mode, r.relabel, r.seed) for r in rep.rows]
+                             ["group", "nosym"], ["respect", "original"])
+        keys = [(r.instance, r.mode, r.relabel) for r in rep.rows]
         assert keys == sorted(keys)
         assert len(rep.rows) == 4
         assert all(r.status == "optimal" for r in rep.rows)
 
     def test_parallel_matches_serial(self):
         inst = [self.small_instance()]
-        serial = run_experiment(inst, ["nosym", "peek"], ["original"], [0])
-        parallel = run_experiment(inst, ["nosym", "peek"], ["original"], [0],
+        serial = run_experiment(inst, ["nosym", "peek"], ["original"])
+        parallel = run_experiment(inst, ["nosym", "peek"], ["original"],
                                   jobs=2)
         assert [(r.instance, r.mode, r.status, r.nodes) for r in serial.rows] \
             == [(r.instance, r.mode, r.status, r.nodes)
@@ -187,7 +186,7 @@ class TestExperiment:
     def test_failures_become_rows(self):
         bad = BinaryProgram(2, [1.0, 1.0], [], None, [])
         bad.objective = [1.0]  # corrupt after construction
-        rep = run_experiment([("bad", bad)], ["nosym"], ["original"], [0])
+        rep = run_experiment([("bad", bad)], ["nosym"], ["original"])
         assert len(rep.rows) == 1
         assert rep.rows[0].status.startswith("error:")
 
@@ -195,7 +194,7 @@ class TestExperiment:
         bad = BinaryProgram(2, [1.0, 1.0], [], None, [])
         bad.objective = [1.0]  # corrupt after construction
         rep = run_experiment([("bad", bad), self.small_instance()],
-                             ["nosym"], ["original"], [0])
+                             ["nosym"], ["original"])
         err = [r for r in rep.rows if r.failed]
         assert len(err) == 1 and err[0].error
         ok = [r for r in rep.rows if not r.failed]
@@ -207,7 +206,7 @@ class TestExperiment:
 
     def test_all_error_report(self):
         rep = ExperimentReport(rows=[
-            RunRow("a", "gen", "original", 0, "error:ValueError", 0.0, 0, 0,
+            RunRow("a", "gen", "original", "error:ValueError", 0.0, 0, 0,
                    0.0, "generator 1 is not a symmetry"),
         ])
         text = rep.to_text()
@@ -217,12 +216,13 @@ class TestExperiment:
 
     def test_report_text(self):
         rep = ExperimentReport(rows=[
-            RunRow("a", "nosym", "original", 0, "optimal", 0.0, 5, 0, 0.0),
-            RunRow("a", "peek", "original", 0, "optimal", 30.0, 3, 2, 1.0),
+            RunRow("a", "nosym", "original", "optimal", 0.0, 5, 0, 0.0),
+            RunRow("a", "peek", "original", "optimal", 30.0, 3, 2, 1.0),
         ])
         text = rep.to_text()
         lines = text.splitlines()
-        assert lines[0].split("\t")[:3] == ["instance", "mode", "relabel"]
+        assert lines[0].split("\t")[:4] == \
+            ["instance", "mode", "relabel", "status"]
         assert "time_shifted_geomean\t10.000" in text
         assert "runs\t2" in text
         assert "solved\t2" in text

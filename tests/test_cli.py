@@ -146,7 +146,6 @@ class TestExperimentCommand:
             "instances": [cyclic5, snark3],
             "modes": ["nosym", "group"],
             "relabels": ["original"],
-            "seeds": [0],
         }))
         report = tmp_path / "report.tsv"
         rc = cli.main(["experiment", "--grid", str(grid),
@@ -160,7 +159,7 @@ class TestExperimentCommand:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({
             "instances": [cyclic5], "modes": ["nosym"],
-            "relabels": ["original"], "seeds": [0]}))
+            "relabels": ["original"]}))
         rc = cli.main(["experiment", "--grid", str(grid), "--out", "-"])
         assert rc == cli.EXIT_OK
         assert "time_shifted_geomean" in capsys.readouterr().out
@@ -170,3 +169,11 @@ class TestExperimentCommand:
         grid.write_text(json.dumps({"instances": [cyclic5], "bogus": 1}))
         assert cli.main(["experiment", "--grid", str(grid), "--out", "-"]) \
             == cli.EXIT_USAGE
+
+    def test_seeds_grid_key_rejected(self, cyclic5, tmp_path, capsys):
+        # Solves are deterministic, so the grid has no seed axis.
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"instances": [cyclic5], "seeds": [0, 1]}))
+        assert cli.main(["experiment", "--grid", str(grid), "--out", "-"]) \
+            == cli.EXIT_USAGE
+        assert "seeds" in capsys.readouterr().err
