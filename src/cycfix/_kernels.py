@@ -7,6 +7,26 @@ The tree encodes, for one permutation ``g`` and a growing lexicographic
 horizon, all minimal conjunctions of fixings that either force x < g(x) on
 the horizon (necessary vertices, whose converse fixing is therefore implied)
 or still allow equality on the horizon (loose ends).  Entries are 0-based.
+
+The tree has at most one junction, so every rooted path is the trunk plus
+at most one branch.  Two per-vertex caches replace the walks to the root
+that made one permutation cost Theta(n^2):
+
+- ``branch`` tags a vertex with the junction child it hangs under, or None
+  on the trunk.  The value of an entry as seen from a loose end is then the
+  fixings, else the one vertex of ``entry_map[entry]`` on the trunk or on
+  the loose end's branch: O(1), no walk.  When the junction dissolves (a
+  branch head is removed or spliced out, or a collapse re-hangs the
+  sibling), the surviving branch moves to the trunk; a vertex moves at most
+  once, so the moves cost O(1) amortized per vertex.
+- ``cond`` points at the nearest conditional ancestor as it was when the
+  pointer was set.  Ancestors only die or turn necessary, each at most
+  once, and never appear, so :func:`first_conditional_ancestor` resolves
+  the pointer past such vertices and compresses the path it followed.
+
+``tree.path_steps`` counts the entry-map candidates read, the pointers
+followed and the vertices moved to the trunk; ``state.checks`` counts
+completeness checks.  Both are plain counters for tests and reports.
 """
 
 from collections import deque
@@ -25,7 +45,8 @@ class InternalLogicError(AssertionError):
 
 
 class Vertex(object):
-    __slots__ = ("kind", "entry", "value", "parent", "children", "alive")
+    __slots__ = ("kind", "entry", "value", "parent", "children", "alive",
+                 "branch", "cond")
 
     def __init__(self, kind, entry, value, parent):
         self.kind = kind
@@ -34,6 +55,11 @@ class Vertex(object):
         self.parent = parent
         self.children = []
         self.alive = True
+        if parent is None:
+            self.branch = self.cond = None
+        else:
+            self.branch = parent.branch
+            self.cond = parent if parent.kind == CONDITIONAL else parent.cond
 
     def __repr__(self):
         if self.kind in (CONDITIONAL, NECESSARY):
@@ -47,10 +73,12 @@ class ImplicationTree(object):
 
     ``entry_map`` maps an entry to the live fixing vertices carrying it (at
     most one per branch); ``created`` counts every vertex ever allocated,
-    which the caller checks against the linear work bound.
+    which the caller checks against the linear work bound, and
+    ``path_steps`` the lookup, ancestor and retagging steps.
     """
 
-    __slots__ = ("root", "loose_ends", "entry_map", "infeasible", "created")
+    __slots__ = ("root", "loose_ends", "entry_map", "infeasible", "created",
+                 "path_steps")
 
     def __init__(self):
         self.root = Vertex(ROOT, -1, -1, None)
@@ -58,6 +86,7 @@ class ImplicationTree(object):
         self.entry_map = {}
         self.infeasible = False
         self.created = 1
+        self.path_steps = 0
         first = Vertex(LOOSE_END, -1, -1, self.root)
         self.root.children.append(first)
         self.loose_ends.add(first)
@@ -85,9 +114,17 @@ class ImplicationTree(object):
                 lst.remove(v)
 
     def remove_subtree(self, v):
-        """Remove v and all its descendants from the tree."""
-        if v.parent is not None and v in v.parent.children:
-            v.parent.children.remove(v)
+        """Remove v and all its descendants from the tree.
+
+        Removing a branch head dissolves the junction: what hangs there
+        still moves to the trunk.
+        """
+        parent = v.parent
+        if parent is not None and v in parent.children:
+            parent.children.remove(v)
+            if v.branch is v:
+                for c in parent.children:
+                    self.to_trunk(c)
         stack = [v]
         while stack:
             w = stack.pop()
@@ -110,6 +147,15 @@ class ImplicationTree(object):
         v.children = []
         self._unregister(v)
 
+    def to_trunk(self, v):
+        """Tag v and its descendants as trunk vertices."""
+        stack = [v]
+        while stack:
+            w = stack.pop()
+            self.path_steps += 1
+            w.branch = None
+            stack.extend(w.children)
+
     def sibling_of(self, v):
         parent = v.parent
         if parent is None or len(parent.children) != 2:
@@ -122,10 +168,11 @@ class PermPropState(object):
     """Propagation state for a single permutation.
 
     ``lex_index`` is the 1-based horizon: positions strictly below it have
-    been consumed by index-increase events.
+    been consumed by index-increase events.  ``checks`` counts the
+    completeness checks made on this state.
     """
 
-    __slots__ = ("n", "image", "inv", "tree", "lex_index")
+    __slots__ = ("n", "image", "inv", "tree", "lex_index", "checks")
 
     def __init__(self, n, image, inv):
         self.n = n
@@ -133,6 +180,7 @@ class PermPropState(object):
         self.inv = inv
         self.tree = ImplicationTree()
         self.lex_index = 1
+        self.checks = 0
 
 
 class FixScheduler(object):
@@ -169,13 +217,20 @@ def init_state(perm):
     return PermPropState(perm.n, perm.image, perm.inv)
 
 
-def first_conditional_ancestor(v):
-    u = v.parent
-    while u is not None:
-        if u.kind == CONDITIONAL:
-            return u
-        u = u.parent
-    return None
+def first_conditional_ancestor(tree, v):
+    """Nearest live conditional ancestor of v, or None.
+
+    Follows the cached ``cond`` pointers past vertices that died or turned
+    necessary, then points every vertex it passed at the answer.
+    """
+    u = v.cond
+    while u is not None and (u.kind != CONDITIONAL or not u.alive):
+        tree.path_steps += 1
+        u = u.cond
+    w = v
+    while w.cond is not u:
+        w.cond, w = u, w.cond
+    return u
 
 
 def h_value(state, fix0, fix1, entry, loose):
@@ -184,21 +239,29 @@ def h_value(state, fix0, fix1, entry, loose):
     An entry counts as set if it is globally fixed or if a fixing vertex on
     the loose end's rooted path carries it; the two cannot disagree.
     """
-    return _h_pair(fix0, fix1, entry, entry, loose)[0]
+    return _h_pair(state.tree, fix0, fix1, entry, entry, loose)[0]
 
 
-def _h_pair(fix0, fix1, ei, ej, loose):
-    """h for two entries with a single walk up from the loose end."""
+def _h_pair(tree, fix0, fix1, ei, ej, loose):
+    """h for two entries in O(1): the fixings, else the one vertex of
+    ``entry_map`` that carries the entry on the trunk or on the loose end's
+    branch, else blank."""
+    branch = loose.branch
+    emap = tree.entry_map
     va = 0 if ei in fix0 else (1 if ei in fix1 else None)
     vb = 0 if ej in fix0 else (1 if ej in fix1 else None)
-    u = loose.parent
-    while u is not None and (va is None or vb is None):
-        if u.kind in (CONDITIONAL, NECESSARY):
-            if u.entry == ei and va is None:
+    if va is None:
+        for u in emap.get(ei, ()):
+            tree.path_steps += 1
+            if u.branch is None or u.branch is branch:
                 va = u.value
-            elif u.entry == ej and vb is None:
+                break
+    if vb is None:
+        for u in emap.get(ej, ()):
+            tree.path_steps += 1
+            if u.branch is None or u.branch is branch:
                 vb = u.value
-        u = u.parent
+                break
     return va, vb
 
 
@@ -224,6 +287,7 @@ def _collapse_to_necessary(tree, u):
         sib.parent.children.remove(sib)
         sib.parent = u
         u.children.append(sib)
+        tree.to_trunk(u)                  # the junction is gone
 
 
 def _push_root_fixings(tree, sched):
@@ -253,9 +317,9 @@ def index_increase_event(state, fix0, fix1, sched, touched=None):
     for v in list(tree.loose_ends):
         if not v.alive:
             continue
-        a, b = _h_pair(fix0, fix1, ei, ej, v)
+        a, b = _h_pair(tree, fix0, fix1, ei, ej, v)
         if a == 0 and b == 1:
-            u = first_conditional_ancestor(v)
+            u = first_conditional_ancestor(tree, v)
             if u is None:
                 tree.infeasible = True
                 return
@@ -269,10 +333,14 @@ def index_increase_event(state, fix0, fix1, sched, touched=None):
         parent = v.parent
         tree.remove_subtree(v)
         if a is None and b is None:
+            if parent.branch is not None:
+                raise InternalLogicError("second junction")
             c1 = tree.new_vertex(CONDITIONAL, ei, 0, parent)
+            c1.branch = c1
             n1 = tree.new_vertex(NECESSARY, ej, 0, c1)
             tree.new_vertex(LOOSE_END, -1, -1, n1)
             c2 = tree.new_vertex(CONDITIONAL, ej, 1, parent)
+            c2.branch = c2
             n2 = tree.new_vertex(NECESSARY, ei, 1, c2)
             tree.new_vertex(LOOSE_END, -1, -1, n2)
         elif a == 0:                      # b is None
@@ -309,7 +377,7 @@ def variable_fixing_event(state, fix0, fix1, entry, value, sched):
         elif v.kind == CONDITIONAL:
             tree.remove_subtree(v)
         else:
-            u = first_conditional_ancestor(v)
+            u = first_conditional_ancestor(tree, v)
             if u is None:
                 tree.infeasible = True
                 return
@@ -326,6 +394,7 @@ def completeness_check(state, fix0, fix1, touched=None):
     position and its preimage cannot produce one.
     """
     tree = state.tree
+    state.checks += 1
     for c in tree.root.children:
         if c.kind == NECESSARY:
             raise InternalLogicError(
@@ -340,7 +409,7 @@ def completeness_check(state, fix0, fix1, touched=None):
         touched.add(p)
         touched.add(q)
     for v in tree.loose_ends:
-        if first_conditional_ancestor(v) is None:
+        if first_conditional_ancestor(tree, v) is None:
             return False
     if p in fix0 or q in fix1:
         return False
@@ -356,20 +425,28 @@ def check_tree_invariants(state, fix0, fix1):
     conditional diamond with converse-paired necessary children; entries on
     any rooted path are distinct and unfixed; every loose end sees exactly
     the unfixed entries among the consumed positions and their preimages.
+    It also checks the caches against the walk: every vertex's branch tag
+    and nearest conditional ancestor, and, from every loose end, the O(1)
+    lookup of every entry.
     """
     tree = state.tree
     if tree.infeasible:
         return
     junctions = []
     seen_loose = set()
-    stack = [(tree.root, set())]
+    stack = [(tree.root, {}, None, None)]
     while stack:
-        v, entries = stack.pop()
+        v, path, branch, cond = stack.pop()
         if not v.alive and v is not tree.root:
             raise InternalLogicError("dead vertex still linked")
         for c in v.children:
             if c.parent is not v:
                 raise InternalLogicError("broken parent link")
+        if v.branch is not branch:
+            raise InternalLogicError("stale branch tag on %r" % (v,))
+        if v is not tree.root and first_conditional_ancestor(tree, v) \
+                is not cond:
+            raise InternalLogicError("stale conditional ancestor of %r" % (v,))
         if v.kind == LOOSE_END:
             if v.children:
                 raise InternalLogicError("loose end is not a leaf")
@@ -382,20 +459,28 @@ def check_tree_invariants(state, fix0, fix1):
                 expected.add(state.inv[i])
             expected -= fix0
             expected -= fix1
-            if entries != expected:
+            if path.keys() != expected:
                 raise InternalLogicError(
                     "loose-end entry set %r != expected %r"
-                    % (sorted(entries), sorted(expected)))
+                    % (sorted(path), sorted(expected)))
+            for e in range(state.n):
+                walked = 0 if e in fix0 else 1 if e in fix1 else path.get(e)
+                if _h_pair(tree, fix0, fix1, e, e, v)[0] != walked:
+                    raise InternalLogicError("h lookup of entry %d" % e)
         if len(v.children) >= 2:
             junctions.append(v)
         if v.kind in (CONDITIONAL, NECESSARY):
-            if v.entry in entries:
+            if v.entry in path:
                 raise InternalLogicError("duplicate entry on rooted path")
             if v.entry in fix0 or v.entry in fix1:
                 raise InternalLogicError("fixed entry on rooted path")
-            entries = entries | {v.entry}
+            path = dict(path)
+            path[v.entry] = v.value
+        if v.kind == CONDITIONAL:
+            cond = v
         for c in v.children:
-            stack.append((c, entries))
+            stack.append((c, path, c if len(v.children) >= 2 else branch,
+                          cond))
     if len(junctions) > 1:
         raise InternalLogicError("more than one junction vertex")
     for j in junctions:
@@ -425,11 +510,19 @@ def propagate_set_raw(perms, fix0, fix1, n,
     ``perms`` must be non-identity permutations on the same ground set.
     Returns ``(feasible, fix0, fix1, states)``; the fixing sets are mutated
     in place and states are returned for inspection by tests.
+
+    A permutation taken off the queue stays complete until a new fixing
+    reaches an entry of its tree, its position p or the preimage of p; only
+    those states are marked dirty, and after each permutation finishes the
+    dirty ones are rechecked in index order and re-queued when incomplete.
     """
     states = [init_state(g) for g in perms]
     if fix0 & fix1:
         return False, fix0, fix1, states
     sched = FixScheduler()
+    queue = deque(range(len(states)))
+    in_queue = [True] * len(states)
+    dirty = set()
 
     def drain():
         while sched.stack:
@@ -446,7 +539,12 @@ def propagate_set_raw(perms, fix0, fix1, n,
                 if entry in fix1:
                     continue
                 fix1.add(entry)
-            for st in states:
+            for k, st in enumerate(states):
+                if not in_queue[k]:
+                    p = st.lex_index - 1
+                    if entry == p or st.tree.entry_map.get(entry) or \
+                            (p < n and st.inv[p] == entry):
+                        dirty.add(k)
                 variable_fixing_event(st, fix0, fix1, entry, value, sched)
                 if st.tree.infeasible:
                     return False
@@ -456,8 +554,6 @@ def propagate_set_raw(perms, fix0, fix1, n,
                 return False
         return True
 
-    queue = deque(range(len(states)))
-    in_queue = [True] * len(states)
     while queue:
         gi = queue.popleft()
         in_queue[gi] = False
@@ -472,13 +568,13 @@ def propagate_set_raw(perms, fix0, fix1, n,
                 return False, fix0, fix1, states
             if not drain():
                 return False, fix0, fix1, states
-        # New fixings can demote other permutations from complete back to
-        # pending (their next position may have become fixed); re-queue.
-        for k, other in enumerate(states):
-            if k != gi and not in_queue[k] and \
-                    not completeness_check(other, fix0, fix1):
+        # New fixings can demote a dirty permutation from complete back to
+        # pending (its next position may have become fixed); re-queue.
+        for k in sorted(dirty):
+            if k != gi and not completeness_check(states[k], fix0, fix1):
                 queue.append(k)
                 in_queue[k] = True
+        dirty.clear()
     bound = 6 * n + 2
     for st in states:
         if st.tree.created > bound:

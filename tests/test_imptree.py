@@ -263,6 +263,111 @@ class TestPropagateSet:
                 assert st_.tree.created <= 6 * n + 2
 
 
+def _cycle(n):
+    return Permutation([(i + 1) % n for i in range(n)])
+
+
+class TestLinearWork:
+    """Machine-independent work counts: lookup and ancestor steps grow
+    linearly in n, completeness checks linearly in the number of
+    permutations."""
+
+    @pytest.mark.parametrize("n", (200, 400, 800, 1600, 3200))
+    def test_path_steps_linear_on_a_single_cycle(self, n):
+        for fs in (FixState(n), FixState(n, {n // 2}, set()),
+                   FixState(n, set(), {n // 3})):
+            res, (st_,) = propagate_set_with_states([_cycle(n)], fs)
+            assert res.feasible
+            assert st_.tree.created <= 6 * n + 2
+            assert st_.tree.path_steps <= 8 * n, st_.tree.path_steps
+
+    @pytest.mark.parametrize("n", (64, 128, 256, 512))
+    def test_completeness_checks_linear_in_perms(self, n):
+        cycle = _cycle(n)
+        perms = [cycle ** k for k in range(1, n)]
+        res, states = propagate_set_with_states(perms, FixState(n, {1}, set()))
+        assert res.feasible
+        assert sum(s.checks for s in states) <= 8 * len(perms)
+
+
+def _ordered_monotone(rng, n):
+    """A monotone cycle on a random support, or a product of monotone
+    cycles on consecutive blocks (each block's entries below the next's)."""
+    image = list(range(n))
+    cuts = sorted(rng.sample(range(2, n - 1), rng.randint(0, 3)))
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        if hi - lo < 2:
+            continue
+        support = sorted(rng.sample(range(lo, hi), rng.randint(2, hi - lo)))
+        for a, b in zip(support, support[1:]):
+            image[a] = b
+        image[support[-1]] = support[0]
+    return Permutation(image)
+
+
+def test_structural_invariants_on_monotone_groups(monkeypatch):
+    """Powers of monotone cycles and of ordered products of them, under
+    invariant checks after every event.  Half the cases add a transposition
+    that derives a fixing on an end of the support, where the first diamond
+    hangs; the cases reach all three tree transitions that move vertices to
+    the trunk."""
+    kern = imptree._kern
+    tally = {"diamond": 0, "merge": 0, "head": 0}
+    new_vertex = kern.ImplicationTree.new_vertex
+    splice_out = kern.ImplicationTree.splice_out
+    collapse = kern._collapse_to_necessary
+
+    def counted_new_vertex(tree, kind, entry, value, parent):
+        v = new_vertex(tree, kind, entry, value, parent)
+        tally["diamond"] += kind == kern.CONDITIONAL and \
+            len(parent.children) == 2
+        return v
+
+    def counted_splice_out(tree, v):
+        tally["head"] += v.branch is v
+        return splice_out(tree, v)
+
+    def counted_collapse(tree, u):
+        tally["merge"] += tree.sibling_of(u) is not None
+        return collapse(tree, u)
+
+    monkeypatch.setattr(kern.ImplicationTree, "new_vertex", counted_new_vertex)
+    monkeypatch.setattr(kern.ImplicationTree, "splice_out", counted_splice_out)
+    monkeypatch.setattr(kern, "_collapse_to_necessary", counted_collapse)
+    rng = random.Random(6116)
+    for _ in range(300):
+        n = rng.randint(6, 40)
+        g = _ordered_monotone(rng, n)
+        if g.is_identity():
+            continue
+        exponents = list(range(1, g.order()))
+        if len(exponents) > 24 or rng.random() < 0.5:
+            exponents = rng.sample(exponents, min(len(exponents),
+                                                  rng.randint(1, 8)))
+        perms = [g ** e for e in exponents]
+        fs = FixState(n)
+        for i in rng.sample(range(n), rng.randint(0, 4)):
+            (fs.fixed0 if rng.random() < 0.5 else fs.fixed1).add(i)
+        first, last = min(g.support()), max(g.support())
+        if rng.random() < 0.5 and first > 0:
+            t = rng.randrange(first)     # (t, first) derives x_first = 0
+            fs.fixed1.discard(t)
+            fs.fixed0.add(t)
+            perms.append(Permutation.from_cycles(n, [(t + 1, first + 1)]))
+        elif rng.random() < 0.5 and last < n - 1:
+            t = rng.randrange(last + 1, n)   # (last, t) derives x_last = 1
+            fs.fixed0.discard(t)
+            fs.fixed1.add(t)
+            perms.append(Permutation.from_cycles(n, [(last + 1, t + 1)]))
+        res = propagate_set(perms, fs.copy(), check_invariants=True)
+        if n <= 12:
+            assert res == per_perm_fixpoint_oracle(perms, fs.copy())
+        else:
+            rng.shuffle(perms)
+            assert propagate_set(perms, fs.copy()) == res
+    assert min(tally.values()) >= 20, tally
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.large_base_example])
 @given(st.data())
