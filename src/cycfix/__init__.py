@@ -2,7 +2,7 @@
 
 Subpackages:
 
-- :mod:`cycfix.core` — permutations, lexicographic relations, fixing sets.
+- :mod:`cycfix.core` — permutations, monotone-cycle tests, fixing sets.
 - :mod:`cycfix.imptree` — per-permutation propagation via implication trees.
 - :mod:`cycfix.cyclic` — complete propagation for (ordered) monotone cyclic
   groups, stabilizer filtering, relabeling heuristics.
@@ -14,28 +14,22 @@ Subpackages:
 
 from .core import (
     FixState,
-    Fixing,
-    LexOutcome,
     Permutation,
     SubcycleDecomposition,
     group_elements,
     is_monotone,
     is_monotone_ordered,
-    lex_compare_upto,
 )
 from .imptree import PropagationResult, propagate_set
 
 __all__ = [
     "FixState",
-    "Fixing",
-    "LexOutcome",
     "Permutation",
     "PropagationResult",
     "SubcycleDecomposition",
     "group_elements",
     "is_monotone",
     "is_monotone_ordered",
-    "lex_compare_upto",
     "propagate_set",
 ]
 

@@ -233,15 +233,6 @@ def first_conditional_ancestor(tree, v):
     return u
 
 
-def h_value(state, fix0, fix1, entry, loose):
-    """Value of an entry as seen from a loose end: 0, 1 or None (blank).
-
-    An entry counts as set if it is globally fixed or if a fixing vertex on
-    the loose end's rooted path carries it; the two cannot disagree.
-    """
-    return _h_pair(state.tree, fix0, fix1, entry, entry, loose)[0]
-
-
 def _h_pair(tree, fix0, fix1, ei, ej, loose):
     """h for two entries in O(1): the fixings, else the one vertex of
     ``entry_map`` that carries the entry on the trunk or on the loose end's

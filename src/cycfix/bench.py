@@ -25,8 +25,8 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import InvalidPermutationError, Permutation
 from .solver import MODES, RELABELS, BinaryProgram, Row, Settings, SolveResult, solve
@@ -256,12 +256,13 @@ def gen_snark(n_param: int) -> Tuple[str, BinaryProgram]:
 # -- experiment runner -------------------------------------------------------
 
 
-def shifted_geomean(values: Sequence[float], shift: float = 10.0) -> float:
-    """(prod(v_i + s))^(1/n) - s; the standard time aggregation statistic."""
+def shifted_geomean(values: Sequence[float]) -> float:
+    """(prod(v_i + s))^(1/n) - s with s = 10; the standard time aggregation
+    statistic."""
     if not values:
         raise ValueError("shifted_geomean of empty sequence")
-    return math.exp(
-        sum(math.log(v + shift) for v in values) / len(values)) - shift
+    s = 10.0
+    return math.exp(sum(math.log(v + s) for v in values) / len(values)) - s
 
 
 @dataclass
@@ -287,7 +288,6 @@ class ExperimentReport:
     are counted but left out of every time aggregate."""
 
     rows: List[RunRow]
-    shift: float = 10.0
 
     def times(self) -> List[float]:
         return [r.time for r in self.rows if not r.failed]
@@ -310,8 +310,7 @@ class ExperimentReport:
         lines.append("solved\t%d" % solved)
         lines.append("errors\t%d" % sum(r.failed for r in self.rows))
         lines.append("time_shifted_geomean\t%s"
-                     % ("%.3f" % shifted_geomean(times, self.shift)
-                        if times else "-"))
+                     % ("%.3f" % shifted_geomean(times) if times else "-"))
         lines.append("total_time\t%.3f" % total)
         lines.append("symmetry_time\t%.3f" % total_sym)
         lines.append("symmetry_percent\t%.1f"

@@ -1,9 +1,7 @@
 """Command-line interface.
 
 Subcommands: solve, propagate, oracle, gen-snark, experiment.  All index
-lists on the command line and in printed output are 1-based.  Every option
-can also be set in a JSON config file passed via ``--config``; explicit
-command-line flags win over config values.
+lists on the command line and in printed output are 1-based.
 
 Exit codes: 0 success (optimal / feasible report), 1 infeasible,
 2 time limit reached, 64 usage or input error.  An instance whose declared
@@ -59,30 +57,7 @@ def _fmt_indices(indices) -> str:
     return ",".join(str(i + 1) for i in sorted(indices)) or "-"
 
 
-def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    """Fill options from the config file; explicit flags take precedence."""
-    if not getattr(args, "config", None):
-        return
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            conf = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError("config %s: %s" % (args.config, exc))
-    if not isinstance(conf, dict):
-        raise UsageError("config must be a JSON object")
-    explicit = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-                for tok in argv if tok.startswith("--")}
-    for key, val in conf.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise UsageError("config: unknown option %r" % key)
-        if attr not in explicit:
-            setattr(args, attr, val)
-
-
-def _load_instance(path: Optional[str]):
-    if not path:
-        raise UsageError("--instance is required")
+def _load_instance(path: str):
     try:
         name, bp = bench.parse_instance(path)
     except (OSError, bench.InstanceError) as exc:
@@ -96,9 +71,9 @@ def _load_instance(path: Optional[str]):
 
 def _fix_state(args, bp: BinaryProgram) -> FixState:
     fs = FixState(bp.n)
-    for i in _parse_fix_list(getattr(args, "fix0", None), bp.n, "--fix0"):
+    for i in _parse_fix_list(args.fix0, bp.n, "--fix0"):
         fs.fixed0.add(i)
-    for i in _parse_fix_list(getattr(args, "fix1", None), bp.n, "--fix1"):
+    for i in _parse_fix_list(args.fix1, bp.n, "--fix1"):
         fs.fixed1.add(i)
     if not fs.is_consistent():
         raise UsageError("--fix0 and --fix1 overlap")
@@ -184,22 +159,18 @@ def _cmd_gen_snark(args) -> int:
         name, bp = bench.gen_snark(args.n)
     except ValueError as exc:
         raise UsageError(str(exc))
-    if not args.out:
-        raise UsageError("--out is required")
     bench.write_instance(name, bp, args.out)
     print("wrote %s (%d variables, %d rows)" % (args.out, bp.n, len(bp.rows)))
     return EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
-    if not args.grid:
-        raise UsageError("--grid is required")
     try:
         with open(args.grid, "r", encoding="utf-8") as fh:
             grid = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError("grid %s: %s" % (args.grid, exc))
-    known = {"instances", "modes", "relabels", "time_limit", "jobs"}
+    known = {"instances", "modes", "relabels", "time_limit"}
     unknown = set(grid) - known
     if unknown:
         raise UsageError("grid: unknown keys %s" % ", ".join(sorted(unknown)))
@@ -212,7 +183,7 @@ def _cmd_experiment(args) -> int:
             modes=grid.get("modes", list(MODES)),
             relabels=grid.get("relabels", list(RELABELS)),
             time_limit=grid.get("time_limit"),
-            jobs=int(grid.get("jobs", args.jobs)),
+            jobs=args.jobs,
         )
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -231,29 +202,22 @@ def build_parser() -> _Parser:
                               "programs under cyclic groups.")
     sub = top.add_subparsers(dest="command")
 
-    def common(p):
-        p.add_argument("--config", help="JSON file with option defaults; "
-                                        "command-line flags win")
-
     p = sub.add_parser("solve", help="branch-and-bound solve")
-    common(p)
-    p.add_argument("--instance")
+    p.add_argument("--instance", required=True)
     p.add_argument("--mode", choices=MODES, default="peek")
     p.add_argument("--relabel", choices=RELABELS, default="original")
     p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("propagate", help="one propagation round at a node")
-    common(p)
-    p.add_argument("--instance")
+    p.add_argument("--instance", required=True)
     p.add_argument("--fix0", help="comma-separated 1-based indices fixed to 0")
     p.add_argument("--fix1", help="comma-separated 1-based indices fixed to 1")
     p.add_argument("--mode", choices=MODES, default="peek")
     p.set_defaults(func=_cmd_propagate)
 
     p = sub.add_parser("oracle", help="exhaustive ground-truth fixings")
-    common(p)
-    p.add_argument("--instance")
+    p.add_argument("--instance", required=True)
     p.add_argument("--fix0")
     p.add_argument("--fix1")
     p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
@@ -261,14 +225,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("gen-snark", help="write a flower-snark instance")
-    common(p)
-    p.add_argument("--n", type=int, required=False)
-    p.add_argument("--out")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_snark)
 
     p = sub.add_parser("experiment", help="run a solve grid, emit a report")
-    common(p)
-    p.add_argument("--grid", help="JSON grid description")
+    p.add_argument("--grid", required=True, help="JSON grid description")
     p.add_argument("--out", help="report path, '-' for stdout")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_experiment)
@@ -276,16 +238,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             parser.print_help()
             return EXIT_USAGE
-        _apply_config(args, argv)
-        if args.command == "gen-snark" and args.n is None:
-            raise UsageError("--n is required")
         return args.func(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

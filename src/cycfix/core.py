@@ -1,4 +1,4 @@
-"""Permutation arithmetic, lexicographic relations and fixing-set bookkeeping.
+"""Permutation arithmetic, monotone-cycle tests and fixing-set bookkeeping.
 
 All indices in this module are 0-based except for cycle notation:
 :meth:`Permutation.from_cycles` and :meth:`Permutation.cycles` speak the usual
@@ -24,32 +24,11 @@ class InvalidRestrictionError(ValueError):
     """Raised when restricting a permutation to a non-invariant index set."""
 
 
-class Fixing(NamedTuple):
-    """A single variable fixing: entry (0-based) set to a bit value."""
-
-    entry: int
-    value: int
-
-    def converse(self) -> "Fixing":
-        return Fixing(self.entry, 1 - self.value)
-
-
-class LexOutcome(NamedTuple):
-    """Result of a partial lexicographic comparison.
-
-    ``relation`` is one of ``"greater"``, ``"equal"``, ``"less"``; ``witness``
-    is the 1-based position of the first difference (absent iff equal).
-    """
-
-    relation: str
-    witness: Optional[int]
-
-
 class Permutation:
     """A bijection of {0, ..., n-1} stored as image and inverse-image arrays.
 
-    Both arrays are kept so that ``inverse_of(i)`` is O(1); the propagation
-    engine looks up preimages on every index-increase event.
+    Both arrays are kept so that a preimage lookup ``inv[i]`` is O(1); the
+    propagation engine looks up preimages on every index-increase event.
     """
 
     __slots__ = ("n", "image", "inv")
@@ -135,9 +114,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.image[i]
-
-    def inverse_of(self, i: int) -> int:
-        return self.inv[i]
 
     def inverse(self) -> "Permutation":
         return Permutation(self.inv)
@@ -231,24 +207,6 @@ def group_elements(
         out.append(cur)
         cur = cur.compose(gen)
     return out
-
-
-def lex_compare_upto(x: Sequence[int], y: Sequence[int], k: int) -> LexOutcome:
-    """Compare the first k-1 positions lexicographically.
-
-    ``k`` ranges over 1..n+1; ``k = n+1`` is the full order, ``k = 1``
-    compares nothing and always reports equal.  The witness is the 1-based
-    position of the first difference.
-    """
-    if len(x) != len(y):
-        raise DimensionError("lex_compare_upto: lengths differ")
-    if not 1 <= k <= len(x) + 1:
-        raise ValueError("k=%d out of range 1..%d" % (k, len(x) + 1))
-    for i in range(k - 1):
-        if x[i] != y[i]:
-            rel = "greater" if x[i] > y[i] else "less"
-            return LexOutcome(rel, i + 1)
-    return LexOutcome("equal", None)
 
 
 def is_monotone(cycle: Sequence[int]) -> bool:

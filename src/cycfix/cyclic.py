@@ -352,14 +352,9 @@ class RelabelPlan:
     """
 
     labeling: Permutation
-    strategy: str
 
     def apply_to(self, perm: Permutation) -> Permutation:
         return self.labeling.compose(perm).compose(self.labeling.inverse())
-
-    def map_vector(self, x: Sequence[int]) -> Tuple[int, ...]:
-        """Reindex a vector from original to new positions."""
-        return self.labeling.apply(x)
 
     def unmap_vector(self, x: Sequence[int]) -> Tuple[int, ...]:
         return self.labeling.inverse().apply(x)
@@ -406,4 +401,4 @@ def relabel(
         if i not in new_of:
             new_of[i] = next_label
             next_label += 1
-    return RelabelPlan(Permutation([new_of[i] for i in range(n)]), strategy)
+    return RelabelPlan(Permutation([new_of[i] for i in range(n)]))

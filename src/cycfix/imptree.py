@@ -14,17 +14,13 @@ from .core import FixState, Permutation
 
 KERNEL_IMPLEMENTATION = _kern.__name__
 
-# Re-exported kernel names; tests and the solver drive events through these.
+# Kernel names the tests drive events with, and the vertex kinds of tree_shape.
 ROOT = _kern.ROOT
 CONDITIONAL = _kern.CONDITIONAL
 NECESSARY = _kern.NECESSARY
 LOOSE_END = _kern.LOOSE_END
 InternalLogicError = _kern.InternalLogicError
-ImplicationTree = _kern.ImplicationTree
-PermPropState = _kern.PermPropState
 FixScheduler = _kern.FixScheduler
-first_conditional_ancestor = _kern.first_conditional_ancestor
-check_tree_invariants = _kern.check_tree_invariants
 
 
 @dataclass(frozen=True)
@@ -49,13 +45,9 @@ class PropagationResult:
         return FixState(n, self.fixed0, self.fixed1)
 
 
-def init_state(perm: Permutation, fixings: FixState) -> "PermPropState":
+def init_state(perm: Permutation, fixings: FixState) -> "_kern.PermPropState":
     """Fresh single-permutation state: horizon 1, two-vertex tree."""
     return _kern.init_state(perm)
-
-
-def h_value(state, fixings: FixState, entry: int, loose) -> Optional[int]:
-    return _kern.h_value(state, fixings.fixed0, fixings.fixed1, entry, loose)
 
 
 def index_increase_event(state, fixings: FixState, scheduler) -> None:

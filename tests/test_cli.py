@@ -54,7 +54,6 @@ class TestSolveCommand:
     def test_no_command_is_usage_error(self, capsys):
         assert cli.main([]) == cli.EXIT_USAGE
 
-
     def test_undeclared_symmetry_is_input_error(self, tmp_path, capsys):
         # max x3 s.t. x1 + x2 + x3 <= 1; (1,2,3) moves the objective.
         bp = BinaryProgram(3, [0.0, 0.0, 1.0],
@@ -112,33 +111,6 @@ class TestGenSnarkCommand:
         assert rc == cli.EXIT_USAGE
 
 
-class TestConfigFile:
-    def test_config_supplies_defaults(self, cyclic5, tmp_path, capsys):
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"mode": "peek", "fix0": "2,5"}))
-        rc = cli.main(["propagate", "--instance", cyclic5,
-                       "--config", str(conf)])
-        out = capsys.readouterr().out
-        assert rc == cli.EXIT_OK
-        assert "fixed0 added: 4" in out
-
-    def test_command_line_wins(self, cyclic5, tmp_path, capsys):
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"mode": "peek"}))
-        rc = cli.main(["propagate", "--instance", cyclic5, "--fix0", "2,5",
-                       "--mode", "nopeek", "--config", str(conf)])
-        out = capsys.readouterr().out
-        assert rc == cli.EXIT_OK
-        assert "fixed0 added: -" in out
-
-    def test_unknown_config_key_rejected(self, cyclic5, tmp_path):
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"bogus": 1}))
-        rc = cli.main(["solve", "--instance", cyclic5,
-                       "--config", str(conf)])
-        assert rc == cli.EXIT_USAGE
-
-
 class TestExperimentCommand:
     def test_runs_grid_to_file(self, cyclic5, snark3, tmp_path, capsys):
         grid = tmp_path / "grid.json"
@@ -164,11 +136,16 @@ class TestExperimentCommand:
         assert rc == cli.EXIT_OK
         assert "time_shifted_geomean" in capsys.readouterr().out
 
-    def test_unknown_grid_key_rejected(self, cyclic5, tmp_path):
+    # --jobs is the one way to set parallelism; the grid has no "jobs" key.
+    @pytest.mark.parametrize("extra", [{"bogus": 1}, {"jobs": 2}],
+                             ids=["bogus", "jobs"])
+    def test_unknown_grid_key_rejected(self, cyclic5, tmp_path, capsys, extra):
         grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"instances": [cyclic5], "bogus": 1}))
+        grid.write_text(json.dumps(dict(instances=[cyclic5], **extra)))
         assert cli.main(["experiment", "--grid", str(grid), "--out", "-"]) \
             == cli.EXIT_USAGE
+        assert "unknown keys %s" % next(iter(extra)) \
+            in capsys.readouterr().err
 
     def test_seeds_grid_key_rejected(self, cyclic5, tmp_path, capsys):
         # Solves are deterministic, so the grid has no seed axis.
@@ -177,3 +154,20 @@ class TestExperimentCommand:
         assert cli.main(["experiment", "--grid", str(grid), "--out", "-"]) \
             == cli.EXIT_USAGE
         assert "seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "propagate", "oracle",
+                                     "gen-snark", "experiment"])
+def test_config_flag_rejected(command, cyclic5, tmp_path, capsys):
+    conf = tmp_path / "c.json"
+    conf.write_text("{}")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"instances": [cyclic5]}))
+    args = {"solve": ["--instance", cyclic5],
+            "propagate": ["--instance", cyclic5],
+            "oracle": ["--instance", cyclic5],
+            "gen-snark": ["--n", "3", "--out", str(tmp_path / "j3.json")],
+            "experiment": ["--grid", str(grid), "--out", "-"]}[command]
+    assert cli.main([command] + args + ["--config", str(conf)]) \
+        == cli.EXIT_USAGE
+    assert "unrecognized arguments: --config" in capsys.readouterr().err

@@ -1,13 +1,11 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cycfix.core import (DimensionError, FixState, Fixing,
-                         InvalidPermutationError, InvalidRestrictionError,
-                         Permutation, group_elements, is_monotone,
-                         is_monotone_ordered, lex_compare_upto)
+from cycfix.core import (DimensionError, FixState, InvalidPermutationError,
+                         InvalidRestrictionError, Permutation, group_elements,
+                         is_monotone, is_monotone_ordered)
 
 
 def perms(max_n=10):
@@ -46,7 +44,7 @@ class TestPermutation:
         y = gamma1.apply(x)
         # y_i = x at the preimage of i
         for i in range(8):
-            assert y[i] == x[gamma1.inverse_of(i)]
+            assert y[i] == x[gamma1.inv[i]]
 
     def test_apply_dimension_error(self):
         with pytest.raises(DimensionError):
@@ -117,37 +115,6 @@ class TestGroupElements:
         assert len(group_elements(g, max_weight=30)) == 2
 
 
-class TestLexCompare:
-    def test_prefix_semantics(self):
-        x, y = (1, 0, 1), (1, 1, 0)
-        assert lex_compare_upto(x, y, 1).relation == "equal"
-        assert lex_compare_upto(x, y, 2).relation == "equal"
-        out = lex_compare_upto(x, y, 3)
-        assert out == ("less", 2)
-        assert lex_compare_upto(x, y, 4).relation == "less"
-
-    def test_witness_is_first_difference(self):
-        out = lex_compare_upto((0, 1, 1, 1), (0, 1, 0, 0), 5)
-        assert out.relation == "greater"
-        assert out.witness == 3
-
-    def test_range_checks(self):
-        with pytest.raises(ValueError):
-            lex_compare_upto((1,), (0,), 3)
-        with pytest.raises(DimensionError):
-            lex_compare_upto((1,), (0, 1), 2)
-
-    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
-        st.lists(st.integers(0, 1), min_size=n, max_size=n),
-        st.lists(st.integers(0, 1), min_size=n, max_size=n))))
-    def test_full_compare_matches_tuples(self, xy):
-        x, y = xy
-        rel = lex_compare_upto(x, y, len(x) + 1).relation
-        expected = ("greater" if tuple(x) > tuple(y)
-                    else "less" if tuple(x) < tuple(y) else "equal")
-        assert rel == expected
-
-
 class TestMonotone:
     def test_single_descent_is_monotone(self):
         assert is_monotone((1, 2, 3, 4, 5))
@@ -192,8 +159,3 @@ class TestFixState:
         c = fs.copy()
         c.fixed1.add(2)
         assert 2 not in fs.fixed1
-
-    def test_fixing_converse(self):
-        f = Fixing(3, 1)
-        assert f.converse() == Fixing(3, 0)
-        assert f.converse().converse() == f

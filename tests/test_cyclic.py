@@ -291,7 +291,7 @@ class TestRelabel:
         g = Permutation.from_cycles(5, [(1, 4, 2)])
         plan = relabel([g])
         x = (1, 0, 1, 1, 0)
-        assert plan.unmap_vector(plan.map_vector(x)) == x
+        assert plan.unmap_vector(plan.labeling.apply(x)) == x
 
     def test_unknown_strategy(self):
         g = Permutation.from_cycles(3, [(1, 2)])

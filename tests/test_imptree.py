@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cycfix import imptree
 from cycfix.core import FixState, Permutation
 from cycfix.imptree import (FixScheduler, InternalLogicError,
-                            PropagationResult, completeness_check, h_value,
-                            index_increase_event, init_state, propagate_set,
+                            completeness_check, index_increase_event,
+                            init_state, propagate_set,
                             propagate_set_with_states, tree_shape,
                             variable_fixing_event)
 from cycfix.oracle import per_perm_fixpoint_oracle
@@ -136,13 +136,18 @@ class TestExampleTrace:
         sched = FixScheduler()
         advance_to(state, fs, sched, 6)
         (loose,) = state.tree.loose_ends
+
+        def h_value(e):
+            return imptree._kern._h_pair(
+                state.tree, fs.fixed0, fs.fixed1, e, e, loose)[0]
+
         # entry 7 (1-based) is decided by the conditional (7,1) on the path
-        assert h_value(state, fs, 6, loose) == 1
+        assert h_value(6) == 1
         # entry 3 (1-based) is unfixed and absent from the path
-        assert h_value(state, fs, 2, loose) is None
+        assert h_value(2) is None
         # globally fixed entries come from the fixing sets
-        assert h_value(state, fs, 4, loose) == 1
-        assert h_value(state, fs, 3, loose) == 0
+        assert h_value(4) == 1
+        assert h_value(3) == 0
 
     def test_collapse_step_to_horizon_seven(self):
         fs = example_fixings()
