@@ -170,12 +170,23 @@ def _cmd_experiment(args) -> int:
             grid = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError("grid %s: %s" % (args.grid, exc))
+    if not isinstance(grid, dict):
+        raise UsageError("grid %s: not a JSON object" % args.grid)
     known = {"instances", "modes", "relabels", "time_limit"}
     unknown = set(grid) - known
     if unknown:
         raise UsageError("grid: unknown keys %s" % ", ".join(sorted(unknown)))
     if "instances" not in grid:
         raise UsageError("grid: missing key 'instances'")
+    for key in ("instances", "modes", "relabels"):
+        value = grid.get(key, [])
+        if not isinstance(value, list) or \
+                not all(isinstance(v, str) for v in value):
+            raise UsageError("grid: %r is not a list of strings" % key)
+    limit = grid.get("time_limit")
+    if limit is not None and (isinstance(limit, bool)
+                              or not isinstance(limit, (int, float))):
+        raise UsageError("grid: 'time_limit' is neither a number nor null")
     instances = [_load_instance(p) for p in grid["instances"]]
     try:
         report = bench.run_experiment(

@@ -31,7 +31,7 @@ class Permutation:
     propagation engine looks up preimages on every index-increase event.
     """
 
-    __slots__ = ("n", "image", "inv")
+    __slots__ = ("n", "image", "inv", "_identity")
 
     def __init__(self, image: Sequence[int]):
         img = tuple(image)
@@ -108,7 +108,13 @@ class Permutation:
         return [i for i in range(self.n) if self.image[i] != i]
 
     def is_identity(self) -> bool:
-        return all(self.image[i] == i for i in range(self.n))
+        # Filled on the first call: set-up builds many permutations that
+        # never ask, and the kernel's input check asks on every call.
+        try:
+            return self._identity
+        except AttributeError:
+            self._identity = self.image == tuple(range(self.n))
+            return self._identity
 
     # -- group operations --------------------------------------------------
 

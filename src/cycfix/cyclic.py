@@ -6,7 +6,8 @@ block to per-permutation completeness, peeks its undecided entries, and
 shrinks the acting subgroup through stabilizer filtering.  A group
 generated by a single monotone cycle (or a subgroup of one) is the case of
 one block; :func:`complete_fix_monotone_group` checks that shape and runs
-the same code.
+the same code.  All peeks go through :func:`peek_entries`, which runs the
+kernel only on a peek that no lex-leader completion certifies.
 
 A monotone cycle visits its support in sorted order, so its entries behave
 like a rotation of the induced positions; positions outside the support
@@ -24,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from .core import FixState, Permutation, is_monotone, ordered_decomposition
 from .imptree import PropagationResult, propagate_set
@@ -257,87 +258,105 @@ def propagate_ordered_monotone(
 
     Blocks are processed left to right.  In each block the restricted
     subgroup's constraints are driven to per-permutation completeness;
-    with ``compute_fixings`` the remaining block entries are peeked through
-    recursive feasibility-only calls that inherit the current subgroup and
-    block position.  Afterwards the acting subgroup shrinks to the setwise
-    stabilizer of the block's fixing classes (block fully fixed) or the
-    pointwise stabilizer of the block.
+    with ``compute_fixings`` the remaining block entries are peeked by
+    :func:`peek_entries`, whose refutations are feasibility-only calls that
+    inherit the current subgroup and block position.  Afterwards the acting
+    subgroup shrinks to the setwise stabilizer of the block's fixing classes
+    (block fully fixed) or the pointwise stabilizer of the block.
 
     Even with ``compute_fixings`` false the per-permutation-complete sets
     are returned: they are valid fixings regardless, and callers that only
     want the feasibility verdict can ignore them.
     """
-    return _propagate_ordered(group, fixings, 1, compute_fixings)[0]
+    return _propagate_ordered(group, fixings, 1, compute_fixings)
 
 
-def _propagate_ordered(
-    group: CyclicSubgroup,
-    fixings: FixState,
-    start_block: int,
-    compute_fixings: bool,
-) -> Tuple[PropagationResult, Optional[Tuple[int, ...]]]:
-    """propagate_ordered_monotone, plus a vector that agrees on the first
-    block with a member of the constrained set (the peeks read no more)."""
+def _propagate_ordered(group: CyclicSubgroup, fixings: FixState,
+                       start_block: int, compute_fixings: bool
+                       ) -> PropagationResult:
     decomp = group._gen.decomp
     if decomp is None:
         raise UnsupportedGroupError(
             "generator is not an ordered composition of monotone cycles")
-    blocks = decomp.blocks
-    m = len(blocks)
     n = group.n
     if not fixings.is_consistent():
-        return PropagationResult.infeasible(), None
+        return PropagationResult.infeasible()
     j0, j1 = set(fixings.fixed0), set(fixings.fixed1)
     delta = group
-    witness: Optional[Tuple[int, ...]] = None
-    for c in range(start_block - 1, m):
+    for c in range(start_block - 1, len(decomp.blocks)):
         if delta.is_trivial():
             break  # later blocks have no elements, so they fix nothing
-        block = blocks[c]
-        restr = delta.restrict_to_block(block)
-        elems = restr.elements()
+        block = decomp.blocks[c]
+        elems = delta.restrict_to_block(block).elements()
         if elems:
             t = _feasible_with(elems, n, j0, j1)
             if t is None:
-                return PropagationResult.infeasible(), None
+                return PropagationResult.infeasible()
             j0, j1 = set(t.fixed0), set(t.fixed1)
         free = [i for i in block if i not in j0 and i not in j1]
-        if c == start_block - 1:
-            if elems and free:
-                witness = strict_witness(restr, j0, j1)
-            else:
-                witness = prop4_witness(restr, j0, j1) if elems \
-                    else tuple(1 if i in j1 else 0 for i in range(n))
-        if compute_fixings:
-            wit: Optional[Tuple[int, ...]] = None
-            if free:
-                # One feasibility call yields a certified member vector;
-                # it lets us skip every peek it already decides.
-                _, wit = _propagate_ordered(
-                    delta, FixState(n, j0, j1), c + 1, False)
-            for i in free:
-                if i in j0 or i in j1:
-                    continue
-                if wit is None or wit[i] != 0:
-                    r0, w0 = _propagate_ordered(
-                        delta, FixState(n, j0 | {i}, j1), c + 1, False)
-                    if not r0.feasible:
-                        j1.add(i)
-                        continue
-                    wit = w0
-                if wit is None or wit[i] != 1:
-                    r1, w1 = _propagate_ordered(
-                        delta, FixState(n, j0, j1 | {i}), c + 1, False)
-                    if not r1.feasible:
-                        j0.add(i)
-                    else:
-                        wit = w1
+        if compute_fixings and free:
+            # delta keeps earlier blocks in place on vectors agreeing with
+            # the fixings: its lex-leaders meet every constraint from block
+            # c + 1 (1-based) on, which the refutation propagates.
+            peek_entries(free, delta.elements(), n, j0, j1, lambda f0, f1:
+                         not _propagate_ordered(delta, FixState(n, f0, f1),
+                                                c + 1, False).feasible)
         if all(i in j0 or i in j1 for i in block):
             delta = delta.stab_setwise_pair(
                 j0 & set(block), j1 & set(block))
         else:
             delta = delta.stab_pointwise(block)
-    return PropagationResult.of(j0, j1), witness
+    return PropagationResult.of(j0, j1)
+
+
+def lex_leader_completion(elems: Sequence[Permutation], n: int,
+                          j0: Set[int], j1: Set[int]) -> Optional[List[int]]:
+    """The fixings with every free entry 0, else with every free entry 1:
+    the first of the two with x >=_lex g(x) for every g in ``elems``, or
+    None.  Such an x is a member of the constrained set, so no sound
+    propagation refutes a peek that agrees with it."""
+    for fill in (0, 1):
+        x = [fill] * n
+        for i in j0:
+            x[i] = 0
+        for i in j1:
+            x[i] = 1
+        if _is_lex_leader(x, elems):
+            return x
+    return None
+
+
+def _is_lex_leader(x: List[int], elems: Sequence[Permutation]) -> bool:
+    for g in elems:
+        for k, j in enumerate(g.inv):  # g(x)[k] = x[j]
+            if x[k] != x[j]:
+                if x[k] < x[j]:
+                    return False
+                break
+    return True
+
+
+def peek_entries(
+    entries: Iterable[int], elems: Sequence[Permutation], n: int,
+    j0: Set[int], j1: Set[int], refutes: Callable[[Set[int], Set[int]], bool],
+) -> None:
+    """Peek each entry i (free, and fixed by no other peek) at 0, then 1;
+    when ``refutes(fixed0, fixed1)`` rejects the fixings plus i = v, add
+    i = 1 - v to ``j0``/``j1``.  A peek that the last lex-leader completion
+    or the completion with the peek agrees with is feasible and skips
+    ``refutes``; a refutation leaves the last completion valid."""
+    wit = lex_leader_completion(elems, n, j0, j1)
+    for i in entries:
+        for v in (0, 1):
+            if wit is not None and wit[i] == v:
+                continue
+            f0, f1 = (j0 | {i}, j1) if v == 0 else (j0, j1 | {i})
+            x = lex_leader_completion(elems, n, f0, f1)
+            if x is not None:
+                wit = x
+            elif refutes(f0, f1):
+                (j1 if v == 0 else j0).add(i)
+                break
 
 
 # -- relabeling heuristics ---------------------------------------------------

@@ -21,7 +21,8 @@ The modes:
 - ``nopeek`` — complete block propagation for ordered monotone generators
   without value peeking (power propagation as fallback);
 - ``peek``   — like ``nopeek`` plus value peeking; the fallback peeks the
-  entries whose values the propagation run looked up.
+  entries whose values the propagation run looked up.  Both peek through
+  :func:`peek_entries`: the kernel runs only on uncertified peeks.
 
 A relabeling strategy other than ``original`` transforms the whole instance
 up front so generators become monotone/ordered and maps incumbents back.
@@ -34,7 +35,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import FixState, Permutation, group_elements, is_monotone_ordered
-from .cyclic import CyclicSubgroup, RelabelPlan, propagate_ordered_monotone, relabel
+from .cyclic import (CyclicSubgroup, RelabelPlan, peek_entries,
+                     propagate_ordered_monotone, relabel)
 from .imptree import PropagationResult, propagate_set
 
 MODES = ("nosym", "gen", "group", "nopeek", "peek")
@@ -243,16 +245,9 @@ def _peek_perms(elems: List[Permutation], fs: FixState) -> PropagationResult:
     if not res.feasible:
         return res
     j0, j1 = set(res.fixed0), set(res.fixed1)
-    for i in sorted(touched):
-        if i in j0 or i in j1:
-            continue
-        t0 = propagate_set(elems, FixState(fs.n, j0 | {i}, j1))
-        if not t0.feasible:
-            j1.add(i)
-            continue
-        t1 = propagate_set(elems, FixState(fs.n, j0, j1 | {i}))
-        if not t1.feasible:
-            j0.add(i)
+    peek_entries(sorted(touched - j0 - j1), elems, fs.n, j0, j1,
+                 lambda f0, f1: not propagate_set(
+                     elems, FixState(fs.n, f0, f1)).feasible)
     return PropagationResult.of(j0, j1)
 
 

@@ -155,6 +155,27 @@ class TestExperimentCommand:
             == cli.EXIT_USAGE
         assert "seeds" in capsys.readouterr().err
 
+    # Each of these died with a traceback, or passed 0 to open(), which
+    # read and closed standard input, before the grid's types were checked.
+    @pytest.mark.parametrize("doc, message", [
+        ([1], "not a JSON object"),
+        (5, "not a JSON object"),
+        ({"instances": [0]}, "'instances' is not a list of strings"),
+        ({"modes": "peek"}, "'modes' is not a list of strings"),
+        ({"time_limit": "1"}, "'time_limit' is neither a number nor null"),
+        ({"time_limit": True}, "'time_limit' is neither a number nor null"),
+    ], ids=["list", "number", "instance-int", "modes-str", "limit-str",
+            "limit-bool"])
+    def test_grid_types_rejected(self, cyclic5, tmp_path, capsys, doc,
+                                 message):
+        if isinstance(doc, dict) and "instances" not in doc:
+            doc = dict(doc, instances=[cyclic5])
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(doc))
+        assert cli.main(["experiment", "--grid", str(grid), "--out", "-"]) \
+            == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command", ["solve", "propagate", "oracle",
                                      "gen-snark", "experiment"])

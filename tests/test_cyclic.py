@@ -6,15 +6,15 @@ from cycfix.core import (FixState, InvalidRestrictionError, Permutation,
                          is_monotone_ordered)
 from cycfix.cyclic import (CyclicSubgroup, UnsupportedGroupError,
                            complete_fix_monotone_group,
-                           group_feasible_monotone, prop4_witness,
-                           propagate_ordered_monotone, relabel,
-                           strict_witness)
+                           group_feasible_monotone, lex_leader_completion,
+                           prop4_witness, propagate_ordered_monotone,
+                           relabel, strict_witness)
 from cycfix.imptree import propagate_set
 from cycfix.oracle import (complete_fixings_oracle, enumerate_feasible,
                            is_lex_leader)
 
 from conftest import (rand_fixstate, rand_monotone_group,
-                      rand_ordered_monotone_group)
+                      rand_ordered_monotone_group, rand_perm)
 
 
 class TestCyclicSubgroup:
@@ -199,6 +199,32 @@ class TestWitnesses:
             for g in grp.elements():
                 assert tuple(x) > g.apply(x)
         self.run_cases(check)
+
+
+class TestLexLeaderCompletion:
+    def test_randomized_against_oracle(self):
+        # Random permutation lists and monotone cyclic groups, n <= 12: the
+        # result is the first of the two completions (free entries all 0,
+        # then all 1) that the oracle accepts, and None when it accepts
+        # neither.
+        rng = random.Random(20228)
+        tally = {0: 0, 1: 0, None: 0}
+        for _ in range(3000):
+            n = rng.randint(2, 12)
+            if rng.random() < 0.5:
+                elems = [rand_perm(rng, n) for _ in range(rng.randint(1, 3))]
+            else:
+                elems = rand_monotone_group(rng, n).elements()
+            fs = rand_fixstate(rng, n)
+            completions = [[1 if i in fs.fixed1 else 0 if i in fs.fixed0
+                            else fill for i in range(n)] for fill in (0, 1)]
+            want = next((fill for fill in (0, 1)
+                         if is_lex_leader(completions[fill], elems)), None)
+            got = lex_leader_completion(elems, n, fs.fixed0, fs.fixed1)
+            assert got == (None if want is None else completions[want]), \
+                (elems, fs)
+            tally[want] += 1
+        assert min(tally.values()) >= 300, tally
 
 
 class TestOrderedMonotone:

@@ -6,12 +6,14 @@ import pytest
 from cycfix import solver as solver_module
 from cycfix.bench import gen_snark
 from cycfix.core import FixState, Permutation, group_elements
+from cycfix.imptree import PropagationResult, propagate_set
 from cycfix.oracle import complete_fixings_oracle
 from cycfix.solver import (EPS, MODES, RELABELS, BinaryProgram, Row,
                            Settings, _row_propagate, _RowIndex,
                            node_propagate, solve)
 
-from conftest import brute_force_optimum, planted_symmetric_bp
+from conftest import (brute_force_optimum, monotone_cycle_on,
+                      planted_symmetric_bp, rand_fixstate, rand_perm)
 
 
 def simple_bp(n=4, rows=(), generators=(), objective=None):
@@ -98,6 +100,52 @@ class TestNodePropagate:
             assert (res.fixed0, res.fixed1) == (fixed0, set()), mode
             assert res.fixed0 <= oracle.fixed0, mode
             assert res.fixed1 <= oracle.fixed1, mode
+
+
+def _peek_loop_reference(elems, fs):
+    """The former fallback peek loop: every free touched entry is peeked
+    at 0, then at 1, each peek decided by a from-scratch propagate_set."""
+    touched = set()
+    res = propagate_set(elems, fs, touched=touched)
+    if not res.feasible:
+        return res, 0
+    j0, j1 = set(res.fixed0), set(res.fixed1)
+    for i in sorted(touched):
+        if i in j0 or i in j1:
+            continue
+        if not propagate_set(elems, FixState(fs.n, j0 | {i}, j1)).feasible:
+            j1.add(i)
+            continue
+        if not propagate_set(elems, FixState(fs.n, j0, j1 | {i})).feasible:
+            j0.add(i)
+    added = len(j0) + len(j1) - len(res.fixed0) - len(res.fixed1)
+    return PropagationResult.of(j0, j1), added
+
+
+class TestPeekPerms:
+    def test_randomized_against_the_former_loop(self):
+        # Random permutation lists, the powers of random permutations (the
+        # fallback's input) and of random monotone cycles, n <= 12, under
+        # random fixings.
+        rng = random.Random(20229)
+        infeasible = peeked = 0
+        for k in range(3000):
+            n = rng.randint(2, 12)
+            if k % 3 == 0:
+                elems = [rand_perm(rng, n) for _ in range(rng.randint(1, 3))]
+            elif k % 3 == 1:
+                elems = group_elements(rand_perm(rng, n))
+            else:
+                elems = group_elements(monotone_cycle_on(
+                    rng.sample(range(n), rng.randint(2, n)), n))
+            fs = rand_fixstate(rng, n, 0.1, 0.1)
+            want, added = _peek_loop_reference(elems, fs.copy())
+            assert solver_module._peek_perms(elems, fs.copy()) == want, \
+                (elems, fs)
+            infeasible += not want.feasible
+            peeked += added > 0
+        # The cases reach refuted base runs and peeks that fix entries.
+        assert infeasible >= 100 and peeked >= 60, (infeasible, peeked)
 
 
 def _full_rescan_reference(bp, fs):
@@ -371,6 +419,8 @@ SNARK_PINS = {
                     "min": (51, 19), "respect": (51, 20)},
     (5, "peek"): {"original": (53, 6), "max": (113, 39),
                   "min": (51, 18), "respect": (51, 19)},
+    (7, "nopeek"): {"original": (193, 20), "respect": (193, 34)},
+    (7, "peek"): {"original": (193, 20), "respect": (193, 31)},
 }
 
 
