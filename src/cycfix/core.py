@@ -31,7 +31,7 @@ class Permutation:
     propagation engine looks up preimages on every index-increase event.
     """
 
-    __slots__ = ("n", "image", "inv", "_identity")
+    __slots__ = ("n", "image", "inv", "_identity", "_support")
 
     def __init__(self, image: Sequence[int]):
         img = tuple(image)
@@ -103,9 +103,15 @@ class Permutation:
             out.append(tuple(c + 1 for c in cyc))
         return out
 
-    def support(self) -> List[int]:
-        """Sorted 0-based indices moved by the permutation."""
-        return [i for i in range(self.n) if self.image[i] != i]
+    def support(self) -> Tuple[int, ...]:
+        """Sorted 0-based indices moved by the permutation, computed on the
+        first call: the lex-leader check scans them on every peek."""
+        try:
+            return self._support
+        except AttributeError:
+            self._support = tuple(
+                i for i, v in enumerate(self.image) if i != v)
+            return self._support
 
     def is_identity(self) -> bool:
         # Filled on the first call: set-up builds many permutations that

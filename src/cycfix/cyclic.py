@@ -295,10 +295,11 @@ def _propagate_ordered(group: CyclicSubgroup, fixings: FixState,
             j0, j1 = set(t.fixed0), set(t.fixed1)
         free = [i for i in block if i not in j0 and i not in j1]
         if compute_fixings and free:
-            # delta keeps earlier blocks in place on vectors agreeing with
-            # the fixings: its lex-leaders meet every constraint from block
-            # c + 1 (1-based) on, which the refutation propagates.
-            peek_entries(free, delta.elements(), n, j0, j1, lambda f0, f1:
+            # delta's restrictions to this and later blocks, at most n: a
+            # vector meeting them is a lex-leader the refutation keeps.
+            later = [h for b in decomp.blocks[c:]
+                     for h in delta.restrict_to_block(b).elements()]
+            peek_entries(free, later, n, j0, j1, lambda f0, f1:
                          not _propagate_ordered(delta, FixState(n, f0, f1),
                                                 c + 1, False).feasible)
         if all(i in j0 or i in j1 for i in block):
@@ -328,9 +329,9 @@ def lex_leader_completion(elems: Sequence[Permutation], n: int,
 
 def _is_lex_leader(x: List[int], elems: Sequence[Permutation]) -> bool:
     for g in elems:
-        for k, j in enumerate(g.inv):  # g(x)[k] = x[j]
-            if x[k] != x[j]:
-                if x[k] < x[j]:
+        for k in g.support():  # g(x)[k] = x[g.inv[k]], x[k] elsewhere
+            if x[k] != x[g.inv[k]]:
+                if x[k] < x[g.inv[k]]:
                     return False
                 break
     return True

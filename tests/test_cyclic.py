@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cycfix import cyclic as cyclic_module
 from cycfix.core import (FixState, InvalidRestrictionError, Permutation,
                          is_monotone_ordered)
 from cycfix.cyclic import (CyclicSubgroup, UnsupportedGroupError,
@@ -278,6 +279,52 @@ class TestOrderedMonotone:
             if res.feasible:
                 assert res.fixed0 <= full.fixed0
                 assert res.fixed1 <= full.fixed1
+
+    def test_peeks_list_block_restrictions_only(self, monkeypatch):
+        # Cycle lengths 2, 3, 5, ..., 23 on n = 100 give the group an order
+        # of about 2.2e8; listing it would not finish.  The peeks may list
+        # only the blocks' restrictions, fewer than n permutations in all.
+        lengths = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+        grp = CyclicSubgroup.generated_by(_blocks_of(lengths))
+        built = []
+        power = cyclic_module._Generator.power
+
+        def counted_power(gen, e):
+            built.append(e)
+            assert len(built) < 100, "peeks list the whole group"
+            return power(gen, e)
+
+        monkeypatch.setattr(cyclic_module._Generator, "power", counted_power)
+        for fs in (FixState(100), FixState(100, [0, 2], [5, 40])):
+            full = propagate_ordered_monotone(grp, fs.copy())
+            res = propagate_ordered_monotone(grp, fs.copy(),
+                                             compute_fixings=False)
+            assert full.feasible == res.feasible
+            assert full.fixed0 >= res.fixed0 and full.fixed1 >= res.fixed1
+
+    @pytest.mark.parametrize("lengths", [(2, 3, 5), (3, 2, 5), (5, 2, 3)])
+    def test_coprime_blocks_match_oracle(self, lengths):
+        grp = CyclicSubgroup.generated_by(_blocks_of(lengths))
+        rng = random.Random(sum(k * c for k, c in enumerate(lengths)))
+        for _ in range(60):
+            fs = rand_fixstate(rng, 10)
+            res = propagate_ordered_monotone(grp, fs.copy())
+            assert res == complete_fixings_oracle(grp.elements(), fs.copy())
+            nopeek = propagate_ordered_monotone(grp, fs.copy(),
+                                                compute_fixings=False)
+            assert nopeek.feasible == res.feasible
+            if res.feasible:
+                assert nopeek.fixed0 <= res.fixed0
+                assert nopeek.fixed1 <= res.fixed1
+
+
+def _blocks_of(lengths):
+    """Monotone cycles of the given lengths on consecutive positions."""
+    cycles, pos = [], 1
+    for k in lengths:
+        cycles.append(tuple(range(pos, pos + k)))
+        pos += k
+    return Permutation.from_cycles(pos - 1, cycles)
 
 
 class TestRelabel:

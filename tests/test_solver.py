@@ -454,6 +454,26 @@ def test_snark_row_search_pinned(m, rl):
             ("infeasible", nodes, fixings), mode
 
 
+def test_peek_on_coprime_ordered_blocks():
+    # Monotone cycles of lengths 2, 3, 5, 7, 11, 13 on consecutive
+    # positions: a group of order 30030 acting on 41 entries.
+    cycles, pos = [], 1
+    for k in (2, 3, 5, 7, 11, 13):
+        cycles.append(tuple(range(pos, pos + k)))
+        pos += k
+    bp = simple_bp(41, [Row.make({i: 1.0 for i in range(10)}, "<=", 4.0),
+                        Row.make({i: -1.0 for i in range(10, 28)}, "<=",
+                                 -9.0)],
+                   [Permutation.from_cycles(41, cycles)])
+    nopeek = solve(bp, Settings(mode="nopeek"))
+    peek = solve(bp, Settings(mode="peek"))
+    assert (nopeek.status, nopeek.objective) == ("optimal", 35.0)
+    assert (peek.status, peek.objective) == ("optimal", 35.0)
+    assert bp.objective_value(peek.incumbent) == pytest.approx(35.0)
+    assert (nopeek.nodes, nopeek.sym_fixings) == (127, 112)
+    assert (peek.nodes, peek.sym_fixings) == (121, 118)
+
+
 class TestUndeclaredSymmetry:
     """max x3 s.t. x1 + x2 + x3 <= 1 with (1,2,3) declared: the cycle maps
     the objective onto x1, so it is no symmetry, and propagating it would
