@@ -43,15 +43,21 @@ _ROW_KEYS = {"coeffs", "sense", "rhs"}
 
 
 def _sparse_to_dense(obj: Dict[str, float], n: int, what: str) -> List[float]:
+    if not isinstance(obj, dict):
+        raise InstanceError("%s: not an object of index: value" % what)
     dense = [0.0] * n
     for key, val in obj.items():
         try:
             i = int(key)
-        except ValueError:
+        except (TypeError, ValueError):
             raise InstanceError("%s: non-integer index %r" % (what, key))
         if not 1 <= i <= n:
             raise InstanceError("%s: index %d outside 1..%d" % (what, i, n))
-        dense[i - 1] = float(val)
+        try:
+            dense[i - 1] = float(val)
+        except (TypeError, ValueError):
+            raise InstanceError("%s: value %r at index %d is not a number"
+                                % (what, val, i))
     return dense
 
 
@@ -65,15 +71,22 @@ def parse_instance_dict(doc: dict) -> Tuple[str, BinaryProgram]:
         if req not in doc:
             raise InstanceError("missing key %r" % req)
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InstanceError("n must be a positive integer")
     names = doc.get("variables")
     if names is not None:
+        if not isinstance(names, list) or \
+                not all(isinstance(v, str) for v in names):
+            raise InstanceError("variables must be a list of names")
         if len(names) != n or len(set(names)) != n:
             raise InstanceError("variables must be %d distinct names" % n)
     objective = _sparse_to_dense(doc.get("objective", {}), n, "objective")
+    if not isinstance(doc["rows"], list):
+        raise InstanceError("rows must be a list of objects")
     rows = []
     for ridx, rdoc in enumerate(doc["rows"], start=1):
+        if not isinstance(rdoc, dict):
+            raise InstanceError("row %d: not an object" % ridx)
         unknown = set(rdoc) - _ROW_KEYS
         if unknown:
             raise InstanceError(
@@ -81,19 +94,29 @@ def parse_instance_dict(doc: dict) -> Tuple[str, BinaryProgram]:
         try:
             coeffs = _sparse_to_dense(rdoc["coeffs"], n, "row %d" % ridx)
             sense = rdoc["sense"]
-            rhs = float(rdoc["rhs"])
+            rhs = rdoc["rhs"]
         except KeyError as exc:
             raise InstanceError("row %d: missing key %s" % (ridx, exc))
+        try:
+            rhs = float(rhs)
+        except (TypeError, ValueError):
+            raise InstanceError("row %d: rhs %r is not a number" % (ridx, rhs))
         if sense not in ("<=", "=="):
             raise InstanceError("row %d: bad sense %r" % (ridx, sense))
         rows.append(Row.make(
             {i: a for i, a in enumerate(coeffs) if a != 0.0}, sense, rhs))
+    gdocs = doc.get("generators", [])
+    if not isinstance(gdocs, list):
+        raise InstanceError("generators must be a list of cycle lists")
     generators = []
-    for gidx, cycles in enumerate(doc.get("generators", []), start=1):
+    for gidx, cycles in enumerate(gdocs, start=1):
         try:
             generators.append(Permutation.from_cycles(n, cycles))
         except InvalidPermutationError as exc:
             raise InstanceError("generator %d: %s" % (gidx, exc))
+        except (TypeError, ValueError):
+            raise InstanceError("generator %d: %r is not a list of cycles "
+                                "of integers" % (gidx, cycles))
     bp = BinaryProgram(n, objective, rows, names, generators)
     return str(doc["name"]), bp
 

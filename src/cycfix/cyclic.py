@@ -7,7 +7,9 @@ shrinks the acting subgroup through stabilizer filtering.  A group
 generated by a single monotone cycle (or a subgroup of one) is the case of
 one block; :func:`complete_fix_monotone_group` checks that shape and runs
 the same code.  All peeks go through :func:`peek_entries`, which runs the
-kernel only on a peek that no lex-leader completion certifies.
+kernel only on a peek that no lex-leader completion certifies, and each
+block first asks :func:`fixes_nothing` whether both fills of the fixings
+certify the rest of the pass, which then stops.
 
 A monotone cycle visits its support in sorted order, so its entries behave
 like a rotation of the induced positions; positions outside the support
@@ -286,6 +288,14 @@ def _propagate_ordered(group: CyclicSubgroup, fixings: FixState,
     for c in range(start_block - 1, len(decomp.blocks)):
         if delta.is_trivial():
             break  # later blocks have no elements, so they fix nothing
+        # delta's restrictions to this and later blocks, at most n: a vector
+        # meeting them is a lex-leader under delta.  When both fills of the
+        # fixings meet them, every free entry takes both values, so nothing
+        # here or later is fixed or refuted.
+        later = [h for b in decomp.blocks[c:]
+                 for h in delta.restrict_to_block(b).elements()]
+        if fixes_nothing(later, n, j0, j1):
+            break
         block = decomp.blocks[c]
         elems = delta.restrict_to_block(block).elements()
         if elems:
@@ -295,10 +305,6 @@ def _propagate_ordered(group: CyclicSubgroup, fixings: FixState,
             j0, j1 = set(t.fixed0), set(t.fixed1)
         free = [i for i in block if i not in j0 and i not in j1]
         if compute_fixings and free:
-            # delta's restrictions to this and later blocks, at most n: a
-            # vector meeting them is a lex-leader the refutation keeps.
-            later = [h for b in decomp.blocks[c:]
-                     for h in delta.restrict_to_block(b).elements()]
             peek_entries(free, later, n, j0, j1, lambda f0, f1:
                          not _propagate_ordered(delta, FixState(n, f0, f1),
                                                 c + 1, False).feasible)
@@ -310,6 +316,16 @@ def _propagate_ordered(group: CyclicSubgroup, fixings: FixState,
     return PropagationResult.of(j0, j1)
 
 
+def _fill(n: int, j0: Set[int], j1: Set[int], value: int) -> List[int]:
+    """The fixings with every free entry set to ``value``."""
+    x = [value] * n
+    for i in j0:
+        x[i] = 0
+    for i in j1:
+        x[i] = 1
+    return x
+
+
 def lex_leader_completion(elems: Sequence[Permutation], n: int,
                           j0: Set[int], j1: Set[int]) -> Optional[List[int]]:
     """The fixings with every free entry 0, else with every free entry 1:
@@ -317,14 +333,20 @@ def lex_leader_completion(elems: Sequence[Permutation], n: int,
     None.  Such an x is a member of the constrained set, so no sound
     propagation refutes a peek that agrees with it."""
     for fill in (0, 1):
-        x = [fill] * n
-        for i in j0:
-            x[i] = 0
-        for i in j1:
-            x[i] = 1
+        x = _fill(n, j0, j1, fill)
         if _is_lex_leader(x, elems):
             return x
     return None
+
+
+def fixes_nothing(elems: Sequence[Permutation], n: int, j0: Set[int],
+                  j1: Set[int]) -> bool:
+    """True when both fills of consistent fixings, every free entry 0 and
+    every free entry 1, satisfy x >=_lex g(x) for every g in ``elems``.
+    Then every free entry takes both values in the constrained set, so no
+    sound propagation fixes an entry or finds the fixings infeasible."""
+    return j0.isdisjoint(j1) and _is_lex_leader(_fill(n, j0, j1, 0), elems) \
+        and _is_lex_leader(_fill(n, j0, j1, 1), elems)
 
 
 def _is_lex_leader(x: List[int], elems: Sequence[Permutation]) -> bool:

@@ -12,7 +12,11 @@ contain it, and a queue rechecks only rows one of whose variables was
 fixed.  A search child differs from its parent's fixpoint by its branching
 fixing alone, so its first queue starts from that variable's rows; a later
 turn's queue starts from the rows of the entries the symmetry pass fixed.
-The modes:
+A unit of explicit permutations runs only when :func:`fixes_nothing` does
+not certify it: if both fills of the current fixings (free entries all 0,
+and all 1) are lex-leaders under the unit, every free entry takes both
+values, so the unit would fix nothing and find nothing infeasible.  The
+ordered path makes the same check at each block.  The modes:
 
 - ``nosym``  — no symmetry handling;
 - ``gen``    — propagate each declared generator's constraint individually;
@@ -35,8 +39,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import FixState, Permutation, group_elements, is_monotone_ordered
-from .cyclic import (CyclicSubgroup, RelabelPlan, peek_entries,
-                     propagate_ordered_monotone, relabel)
+from .cyclic import (CyclicSubgroup, RelabelPlan, fixes_nothing,
+                     peek_entries, propagate_ordered_monotone, relabel)
 from .imptree import PropagationResult, propagate_set
 
 MODES = ("nosym", "gen", "group", "nopeek", "peek")
@@ -220,6 +224,8 @@ class _SymmetryEngine:
                 if kind == "ordered":
                     res = propagate_ordered_monotone(
                         unit, fs, compute_fixings=peek)
+                elif fixes_nothing(unit, fs.n, fs.fixed0, fs.fixed1):
+                    continue  # both fills certify the unit: a no-op
                 elif peek:
                     res = _peek_perms(unit, fs)
                 else:

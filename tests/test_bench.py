@@ -80,6 +80,34 @@ class TestInstanceFormat:
         with pytest.raises(InstanceError, match="sense"):
             parse_instance_dict(doc)
 
+    # Each of these died with a ValueError or TypeError traceback, or (rows
+    # as an object) was read as no rows at all.
+    @pytest.mark.parametrize("key, value, message", [
+        ("rows", [{"coeffs": {"1": 1.0}, "sense": "<=", "rhs": "abc"}],
+         "row 1: rhs"),
+        ("objective", {"1": "x"}, "objective: value 'x' at index 1"),
+        ("objective", 5, "objective"),
+        ("rows", [5], "row 1"),
+        ("rows", [{"coeffs": [1.0], "sense": "<=", "rhs": 1.0}], "row 1"),
+        ("rows", {}, "rows"),
+        ("variables", 5, "variables"),
+        ("generators", 5, "generators"),
+        ("generators", [[[1, "b"]]], "generator 1"),
+        ("generators", [[1, 2]], "generator 1"),
+        ("n", True, "n must be"),
+    ], ids=["rhs-str", "objective-str", "objective-int", "row-int",
+            "coeffs-list", "rows-object", "variables-int", "generators-int",
+            "cycle-str", "cycle-int", "n-bool"])
+    def test_malformed_values_rejected(self, key, value, message):
+        doc = {"name": "pair", "n": 2, "objective": {"1": 1.0, "2": 1.0},
+               "rows": [{"coeffs": {"1": 1.0, "2": 1.0}, "sense": "<=",
+                         "rhs": 1.0}],
+               "generators": [[[1, 2]]]}
+        parse_instance_dict(doc)
+        doc[key] = value
+        with pytest.raises(InstanceError, match=message):
+            parse_instance_dict(doc)
+
     def test_json_error_has_context(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  not json\n")

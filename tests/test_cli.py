@@ -65,6 +65,22 @@ class TestSolveCommand:
         assert rc == cli.EXIT_USAGE
         assert "generator 1" in capsys.readouterr().err
 
+    # The first died with a ValueError traceback (exit 1); the second was
+    # read as a program without rows and solved (exit 0).
+    @pytest.mark.parametrize("rows, message", [
+        ([{"coeffs": {"1": 1.0}, "sense": "<=", "rhs": "abc"}], "row 1: rhs"),
+        ({}, "rows must be a list"),
+    ], ids=["rhs-str", "rows-object"])
+    def test_malformed_instance_is_input_error(self, tmp_path, capsys, rows,
+                                               message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "name": "pair", "n": 2, "objective": {"1": 1.0, "2": 1.0},
+            "rows": rows, "generators": [[[1, 2]]]}))
+        rc = cli.main(["solve", "--instance", str(path)])
+        assert rc == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+
 
 class TestPropagateAndOracle:
     def test_peek_closes_the_gap(self, cyclic5, capsys):

@@ -4,15 +4,15 @@ import pytest
 
 from cycfix import cyclic as cyclic_module
 from cycfix.core import (FixState, InvalidRestrictionError, Permutation,
-                         is_monotone_ordered)
+                         group_elements, is_monotone_ordered)
 from cycfix.cyclic import (CyclicSubgroup, UnsupportedGroupError,
-                           complete_fix_monotone_group,
+                           complete_fix_monotone_group, fixes_nothing,
                            group_feasible_monotone, lex_leader_completion,
                            prop4_witness, propagate_ordered_monotone,
                            relabel, strict_witness)
-from cycfix.imptree import propagate_set
+from cycfix.imptree import PropagationResult, propagate_set
 from cycfix.oracle import (complete_fixings_oracle, enumerate_feasible,
-                           is_lex_leader)
+                           is_lex_leader, per_perm_fixpoint_oracle)
 
 from conftest import (rand_fixstate, rand_monotone_group,
                       rand_ordered_monotone_group, rand_perm)
@@ -226,6 +226,65 @@ class TestLexLeaderCompletion:
                 (elems, fs)
             tally[want] += 1
         assert min(tally.values()) >= 300, tally
+
+
+class TestFixesNothing:
+    """fixes_nothing holds exactly when both fills pass, and then no sound
+    propagation changes the fixings."""
+
+    def test_perm_lists_randomized(self):
+        # Random permutation lists and the powers of random permutations
+        # and of monotone cycles, n <= 10, under random fixings.
+        rng = random.Random(20230)
+        held = 0
+        for k in range(3000):
+            n = rng.randint(2, 10)
+            if k % 3 == 0:
+                elems = [rand_perm(rng, n) for _ in range(rng.randint(1, 3))]
+            elif k % 3 == 1:
+                elems = group_elements(rand_perm(rng, n))
+            else:
+                elems = rand_monotone_group(rng, n).elements()
+            fs = rand_fixstate(rng, n)
+            fills = [[1 if i in fs.fixed1 else 0 if i in fs.fixed0
+                      else fill for i in range(n)] for fill in (0, 1)]
+            got = fixes_nothing(elems, n, fs.fixed0, fs.fixed1)
+            assert got == all(is_lex_leader(x, elems) for x in fills), \
+                (elems, fs)
+            if got:
+                held += 1
+                same = PropagationResult.of(fs.fixed0, fs.fixed1)
+                assert per_perm_fixpoint_oracle(elems, fs.copy()) == same
+                assert propagate_set(elems, fs.copy()) == same
+        assert 600 <= held <= 2400, held
+
+    def test_block_restrictions_certify_the_group(self):
+        # Ordered monotone generators, n <= 10: the restrictions of the
+        # (sub)group to its blocks are at most n permutations; when both
+        # fills meet them, the complete fixings of the whole group are the
+        # input fixings.
+        rng = random.Random(20231)
+        held = tried = 0
+        while tried < 2000:
+            n = rng.randint(4, 10)
+            grp = rand_ordered_monotone_group(rng, n)
+            if grp.is_trivial():
+                continue
+            tried += 1
+            blocks = is_monotone_ordered(grp.generator).blocks
+            restrictions = [h for b in blocks
+                            for h in grp.restrict_to_block(b).elements()]
+            fs = rand_fixstate(rng, n)
+            if fixes_nothing(restrictions, n, fs.fixed0, fs.fixed1):
+                held += 1
+                assert complete_fixings_oracle(grp.elements(), fs.copy()) \
+                    == PropagationResult.of(fs.fixed0, fs.fixed1), (grp, fs)
+        assert 400 <= held <= 1600, held
+
+    def test_inconsistent_fixings_never_hold(self):
+        gen = Permutation.from_cycles(3, [(1, 2)])
+        assert fixes_nothing([gen], 3, set(), set())
+        assert not fixes_nothing([gen], 3, {0}, {0})
 
 
 class TestOrderedMonotone:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cycfix import cyclic as cyclic_module
 from cycfix import solver as solver_module
 from cycfix.bench import gen_snark
 from cycfix.core import FixState, Permutation, group_elements
@@ -10,10 +11,11 @@ from cycfix.imptree import PropagationResult, propagate_set
 from cycfix.oracle import complete_fixings_oracle
 from cycfix.solver import (EPS, MODES, RELABELS, BinaryProgram, Row,
                            Settings, _row_propagate, _RowIndex,
-                           node_propagate, solve)
+                           _SymmetryEngine, node_propagate, solve)
 
 from conftest import (brute_force_optimum, monotone_cycle_on,
-                      planted_symmetric_bp, rand_fixstate, rand_perm)
+                      planted_symmetric_bp, rand_fixstate,
+                      rand_ordered_monotone_group, rand_perm)
 
 
 def simple_bp(n=4, rows=(), generators=(), objective=None):
@@ -146,6 +148,66 @@ class TestPeekPerms:
             peeked += added > 0
         # The cases reach refuted base runs and peeks that fix entries.
         assert infeasible >= 100 and peeked >= 60, (infeasible, peeked)
+
+
+def _every_unit_reference(engine, fs):
+    """The symmetry pass before units were certified: every unit runs, and
+    the ordered path processes every block.  Extends ``fs`` in place;
+    returns False when a unit finds the fixings infeasible."""
+    peek = engine.mode == "peek"
+    for kind, unit in engine.units:
+        if kind == "ordered":
+            res = cyclic_module.propagate_ordered_monotone(
+                unit, fs, compute_fixings=peek)
+        elif peek:
+            res = solver_module._peek_perms(unit, fs)
+        else:
+            res = propagate_set(unit, fs)
+        if not res.feasible:
+            return False
+        fs.fixed0 |= res.fixed0
+        fs.fixed1 |= res.fixed1
+    return True
+
+
+class TestCertifiedUnits:
+    def test_randomized_against_every_unit(self, monkeypatch):
+        # Programs with 2-3 generators (random permutations, monotone
+        # cycles, ordered monotone generators), n <= 10, in every mode: one
+        # pass from random fixings ends as the pass that runs every unit.
+        rng = random.Random(20232)
+        tally = {"fixed": 0, "infeasible": 0, "unchanged": 0}
+        for _ in range(400):
+            n = rng.randint(4, 10)
+            gens = []
+            for _ in range(rng.randint(2, 3)):
+                r = rng.random()
+                if r < 0.3:
+                    gens.append(rand_perm(rng, n))
+                elif r < 0.6:
+                    gens.append(monotone_cycle_on(
+                        rng.sample(range(n), rng.randint(2, n)), n))
+                else:
+                    gens.append(rand_ordered_monotone_group(rng, n).generator)
+            bp = simple_bp(n, generators=gens)
+            for mode in MODES:
+                engine = _SymmetryEngine(bp, Settings(mode=mode))
+                for _ in range(3):
+                    fs = rand_fixstate(rng, n, 0.15, 0.15)
+                    ref = fs.copy()
+                    with monkeypatch.context() as m:
+                        m.setattr(cyclic_module, "fixes_nothing",
+                                  lambda *args: False)
+                        ok = _every_unit_reference(engine, ref)
+                    before = len(fs.fixed0) + len(fs.fixed1)
+                    assert engine.propagate(fs, {}) == ok, (gens, mode, ref)
+                    if not ok:
+                        tally["infeasible"] += 1
+                        continue
+                    assert (fs.fixed0, fs.fixed1) == (ref.fixed0, ref.fixed1)
+                    tally["fixed" if len(fs.fixed0) + len(fs.fixed1) > before
+                          else "unchanged"] += 1
+        assert min(tally.values()) >= 300, tally
 
 
 def _full_rescan_reference(bp, fs):
