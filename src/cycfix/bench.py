@@ -42,6 +42,19 @@ _TOP_KEYS = {"name", "n", "variables", "objective", "rows", "generators"}
 _ROW_KEYS = {"coeffs", "sense", "rhs"}
 
 
+def _number(val: object) -> Optional[float]:
+    """``val`` as a float if it is a finite JSON number, else None.  A
+    boolean, a string, NaN or an infinity is no number here, although
+    ``float()`` takes them all."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        val = float(val)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return val if math.isfinite(val) else None
+
+
 def _sparse_to_dense(obj: Dict[str, float], n: int, what: str) -> List[float]:
     if not isinstance(obj, dict):
         raise InstanceError("%s: not an object of index: value" % what)
@@ -53,11 +66,11 @@ def _sparse_to_dense(obj: Dict[str, float], n: int, what: str) -> List[float]:
             raise InstanceError("%s: non-integer index %r" % (what, key))
         if not 1 <= i <= n:
             raise InstanceError("%s: index %d outside 1..%d" % (what, i, n))
-        try:
-            dense[i - 1] = float(val)
-        except (TypeError, ValueError):
-            raise InstanceError("%s: value %r at index %d is not a number"
-                                % (what, val, i))
+        num = _number(val)
+        if num is None:
+            raise InstanceError("%s: value %r at index %d is not a finite "
+                                "number" % (what, val, i))
+        dense[i - 1] = num
     return dense
 
 
@@ -97,14 +110,14 @@ def parse_instance_dict(doc: dict) -> Tuple[str, BinaryProgram]:
             rhs = rdoc["rhs"]
         except KeyError as exc:
             raise InstanceError("row %d: missing key %s" % (ridx, exc))
-        try:
-            rhs = float(rhs)
-        except (TypeError, ValueError):
-            raise InstanceError("row %d: rhs %r is not a number" % (ridx, rhs))
+        num = _number(rhs)
+        if num is None:
+            raise InstanceError(
+                "row %d: rhs %r is not a finite number" % (ridx, rhs))
         if sense not in ("<=", "=="):
             raise InstanceError("row %d: bad sense %r" % (ridx, sense))
         rows.append(Row.make(
-            {i: a for i, a in enumerate(coeffs) if a != 0.0}, sense, rhs))
+            {i: a for i, a in enumerate(coeffs) if a != 0.0}, sense, num))
     gdocs = doc.get("generators", [])
     if not isinstance(gdocs, list):
         raise InstanceError("generators must be a list of cycle lists")

@@ -7,11 +7,12 @@ handling is pure node-local propagation in one of five modes (listed below).
 :func:`node_propagate` holds the one fixpoint loop over propagators: each
 turn runs the row queue, then one pass over the symmetry units, and stops
 after a pass that fixes nothing.  Row propagation is event-driven.  A
-per-solve index (:class:`_RowIndex`) maps each variable to the rows that
-contain it, and a queue rechecks only rows one of whose variables was
-fixed.  A search child differs from its parent's fixpoint by its branching
-fixing alone, so its first queue starts from that variable's rows; a later
-turn's queue starts from the rows of the entries the symmetry pass fixed.
+per-solve index (:class:`_RowIndex`) maps each variable and value to the
+rows whose activity bounds that fixing tightens, and a queue rechecks only
+rows a fixing tightened.  A search child differs from its parent's
+fixpoint by its branching fixing alone, so its first queue starts from the
+rows that fixing tightens; a later turn's queue starts from the rows the
+symmetry pass's fixings tighten.
 A unit of explicit permutations runs only when :func:`fixes_nothing` does
 not certify it: if both fills of the current fixings (free entries all 0,
 and all 1) are lex-leaders under the unit, every free entry takes both
@@ -260,22 +261,32 @@ def _peek_perms(elems: List[Permutation], fs: FixState) -> PropagationResult:
 class _RowIndex:
     """Per-solve row data for :func:`_row_propagate`.
 
-    ``rows[r]`` is ``(terms, is_eq, rhs)`` where each term is
-    ``(entry, coeff, min(coeff, 0), max(coeff, 0))``; ``watch[i]`` lists the
-    rows whose terms contain entry i.
+    ``rows[r]`` is ``(terms, is_eq, rhs)``; a term is ``(entry, coeff,
+    min(coeff, 0), max(coeff, 0), |coeff|, v)``, v the entry's value at
+    min activity.  ``wake[v][i]`` lists the rows whose activity bounds
+    fixing i to v tightens: the rows whose min activity it raises (coeff
+    > 0 for v = 1, < 0 for v = 0) and the ``==`` rows whose max activity
+    it lowers (the other sign).
     """
 
-    __slots__ = ("rows", "watch")
+    __slots__ = ("rows", "wake")
 
     def __init__(self, bp: BinaryProgram):
         self.rows: List[Tuple[tuple, bool, float]] = []
-        self.watch: List[List[int]] = [[] for _ in range(bp.n)]
+        w0: List[List[int]] = [[] for _ in range(bp.n)]
+        w1: List[List[int]] = [[] for _ in range(bp.n)]
+        self.wake = (w0, w1)
         for r, row in enumerate(bp.rows):
+            is_eq = row.sense == "=="
             self.rows.append((
-                tuple((i, a, min(a, 0.0), max(a, 0.0)) for i, a in row.coeffs),
-                row.sense == "==", row.rhs))
-            for i, _a in row.coeffs:
-                self.watch[i].append(r)
+                tuple((i, a, min(a, 0.0), max(a, 0.0), abs(a), int(a < 0))
+                      for i, a in row.coeffs),
+                is_eq, row.rhs))
+            for i, a in row.coeffs:
+                if a > 0 or (is_eq and a < 0):
+                    w1[i].append(r)
+                if a < 0 or (is_eq and a > 0):
+                    w0[i].append(r)
 
 
 def _row_propagate(index: _RowIndex, fs: FixState,
@@ -283,19 +294,24 @@ def _row_propagate(index: _RowIndex, fs: FixState,
     """Min/max-activity domain propagation; False when a row is violated.
 
     Event-driven: a queue holds the rows to (re)check, starting with the
-    rows that contain an entry of ``wake`` (every row when ``wake`` is None).
-    A row that fixes an entry queues that entry's rows again, itself
-    included, so the loop ends at the same fixpoint as rescanning every row
-    until a pass changes nothing: the rules only fire more as fixings grow.
-    The caller may seed with just the entries fixed since the rows were
-    last at a fixpoint.
+    rows that the entries of ``wake``, at their values in ``fs``, tighten
+    (every row when ``wake`` is None).  A row that fixes an entry queues
+    the rows that fixing tightens.  A fixing leaves every rule of a row it
+    does not tighten as it was, so the loop ends at the same fixpoint as
+    rescanning every row until a pass changes nothing: the rules only fire
+    more as fixings grow.  The caller may seed with just the entries fixed
+    since the rows were last at a fixpoint.  A free term is forced when
+    its other value would lift the min activity above the rhs (``lo +
+    |a|``) or, in an ``==`` row, drop the max activity below it (``hi -
+    |a|``).
     """
-    rows, watch = index.rows, index.watch
+    rows, lists = index.rows, index.wake
     f0, f1 = fs.fixed0, fs.fixed1
     if wake is None:
         queue = list(range(len(rows) - 1, -1, -1))
     else:
-        queue = sorted({r for i in wake for r in watch[i]}, reverse=True)
+        queue = sorted({r for i in wake for r in lists[i in f1][i]},
+                       reverse=True)
     queued = bytearray(len(rows))
     for r in queue:
         queued[r] = 1
@@ -320,21 +336,18 @@ def _row_propagate(index: _RowIndex, fs: FixState,
             return False
         if is_eq and hi < rhs - EPS:
             return False
-        for i, a, amin, amax in free:
-            for v in (0, 1):
-                bad = lo - amin + a * v > rhs + EPS
-                if not bad and is_eq:
-                    bad = hi - amax + a * v < rhs - EPS
-                if bad:
-                    if i in (f0 if v == 0 else f1):
-                        return False
-                    if i not in f0 and i not in f1:
-                        (f1 if v == 0 else f0).add(i)
-                        for r2 in watch[i]:
-                            if not queued[r2]:
-                                queued[r2] = 1
-                                queue.append(r2)
-                    break
+        for i, _a, _amin, _amax, mag, v in free:
+            if lo + mag > rhs + EPS:
+                pass            # keep the value at min activity
+            elif is_eq and hi - mag < rhs - EPS:
+                v = 1 - v       # keep the value at max activity
+            else:
+                continue
+            (f1 if v else f0).add(i)
+            for r2 in lists[v][i]:
+                if not queued[r2]:
+                    queued[r2] = 1
+                    queue.append(r2)
     return True
 
 
@@ -356,7 +369,8 @@ def node_propagate(
 
     ``fixings`` is extended in place.  ``branched`` says that ``fixings`` is
     a row fixpoint plus the fixing of that one entry, as at a search child,
-    so only that entry's rows are queued at first; without it every row is.
+    so only the rows that fixing tightens are queued at first; without it
+    every row is.
     """
     if not fixings.is_consistent():
         return PropagationResult.infeasible()
@@ -407,8 +421,11 @@ def solve(bp: BinaryProgram, settings: Settings = Settings()) -> SolveResult:
     Raises ValueError when the mode uses the declared generators and one of
     them is not a symmetry of ``bp``: propagating it would cut off optimal
     solutions, so the reported optimum or infeasibility would be wrong.
+    Also raises it when the objective no longer has n entries.
     """
     t0 = time.perf_counter()
+    if len(bp.objective) != bp.n:   # fields stay mutable after construction
+        raise ValueError("objective length != n")
     if settings.mode != "nosym":
         bp.check_generators()
     work, plan = _relabel_program(bp, settings.relabel)
@@ -433,11 +450,12 @@ def solve(bp: BinaryProgram, settings: Settings = Settings()) -> SolveResult:
         if not res.feasible:
             continue
         f0, f1 = fs.fixed0, fs.fixed1
-        bound = sum(work.objective[i] for i in f1) + \
-            sum(c for i, c in enumerate(work.objective)
-                if c > 0 and i not in f0 and i not in f1)
-        if best_obj is not None and bound <= best_obj + EPS:
-            continue
+        if best_obj is not None:  # the bound only prunes against one
+            bound = sum(work.objective[i] for i in f1) + \
+                sum(c for i, c in enumerate(work.objective)
+                    if c > 0 and i not in f0 and i not in f1)
+            if bound <= best_obj + EPS:
+                continue
         # The parent branched on its lowest unfixed entry, so every entry
         # below a child's branching entry is fixed already.
         i = next((j for j in range(0 if branched is None else branched + 1, n)
@@ -450,11 +468,10 @@ def solve(bp: BinaryProgram, settings: Settings = Settings()) -> SolveResult:
                     best_obj = obj
                     best_x = x
             continue
-        zero = fs.copy()
-        zero.fixed0.add(i)
         one = fs.copy()
         one.fixed1.add(i)
-        stack.append((zero, i))
+        fs.fixed0.add(i)         # the 0-child takes over the parent's state
+        stack.append((fs, i))
         stack.append((one, i))   # popped first: 1-branch explored first
     wall = time.perf_counter() - t0
     if timed_out:

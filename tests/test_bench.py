@@ -95,9 +95,31 @@ class TestInstanceFormat:
         ("generators", [[[1, "b"]]], "generator 1"),
         ("generators", [[1, 2]], "generator 1"),
         ("n", True, "n must be"),
+        # float() took these: a boolean, a numeric string, NaN, infinity.
+        ("objective", {"1": True}, "objective: value True at index 1"),
+        ("objective", {"2": "1e3"}, "objective: value '1e3' at index 2"),
+        ("objective", {"1": float("nan")}, "objective: value nan"),
+        ("objective", {"1": "nan"}, "objective: value 'nan'"),
+        ("rows", [{"coeffs": {"1": "2"}, "sense": "<=", "rhs": 1.0}],
+         "row 1: value '2' at index 1"),
+        ("rows", [{"coeffs": {"1": False}, "sense": "<=", "rhs": 1.0}],
+         "row 1: value False"),
+        ("rows", [{"coeffs": {"1": float("-inf")}, "sense": "<=",
+                   "rhs": 1.0}], "row 1: value -inf"),
+        ("rows", [{"coeffs": {"1": 10 ** 400}, "sense": "<=", "rhs": 1.0}],
+         "row 1: value 1000"),
+        ("rows", [{"coeffs": {"1": 1.0}, "sense": "<=", "rhs": False}],
+         "row 1: rhs False"),
+        ("rows", [{"coeffs": {"1": 1.0}, "sense": "<=", "rhs": "1"}],
+         "row 1: rhs '1'"),
+        ("rows", [{"coeffs": {"1": 1.0}, "sense": "<=", "rhs": float("inf")}],
+         "row 1: rhs inf"),
     ], ids=["rhs-str", "objective-str", "objective-int", "row-int",
             "coeffs-list", "rows-object", "variables-int", "generators-int",
-            "cycle-str", "cycle-int", "n-bool"])
+            "cycle-str", "cycle-int", "n-bool", "objective-bool",
+            "objective-numeric-str", "objective-nan", "objective-nan-str",
+            "coeff-numeric-str", "coeff-bool", "coeff-inf", "coeff-huge-int",
+            "rhs-bool", "rhs-numeric-str", "rhs-inf"])
     def test_malformed_values_rejected(self, key, value, message):
         doc = {"name": "pair", "n": 2, "objective": {"1": 1.0, "2": 1.0},
                "rows": [{"coeffs": {"1": 1.0, "2": 1.0}, "sense": "<=",

@@ -66,11 +66,14 @@ class TestSolveCommand:
         assert "generator 1" in capsys.readouterr().err
 
     # The first died with a ValueError traceback (exit 1); the second was
-    # read as a program without rows and solved (exit 0).
+    # read as a program without rows and the third as rhs 1.0, and both
+    # were solved (exit 0).
     @pytest.mark.parametrize("rows, message", [
         ([{"coeffs": {"1": 1.0}, "sense": "<=", "rhs": "abc"}], "row 1: rhs"),
         ({}, "rows must be a list"),
-    ], ids=["rhs-str", "rows-object"])
+        ([{"coeffs": {"1": 1.0}, "sense": "<=", "rhs": True}],
+         "row 1: rhs True is not a finite number"),
+    ], ids=["rhs-str", "rows-object", "rhs-bool"])
     def test_malformed_instance_is_input_error(self, tmp_path, capsys, rows,
                                                message):
         path = tmp_path / "bad.json"

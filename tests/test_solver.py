@@ -266,7 +266,7 @@ def _rand_rows_bp(rng, n):
 
 
 class TestRowQueue:
-    """The watch-queue row propagation against the full-rescan loop."""
+    """The row queue against the full-rescan loop."""
 
     def _outcome(self, prop, fs):
         out = fs.copy()
@@ -275,10 +275,17 @@ class TestRowQueue:
 
     def test_randomized_equivalence(self):
         rng = random.Random(20221)
-        cases = fixing = infeasible = children = 0
+        cases = fixing = infeasible = children = mixed = neg_eq = 0
         while cases < 600:
             n = rng.randint(2, 12)
             bp = _rand_rows_bp(rng, n)
+            if cases % 2:
+                # x_a - x_b (+ x_c - x_d) == 0 seldom fixes anything alone,
+                # so seeds often meet an '==' row with negative coeffs.
+                ends = rng.sample(range(n), 2 * min(2, n // 2))
+                bp.rows.append(Row.make(
+                    {i: (1.0, -1.0)[k % 2] for k, i in enumerate(ends)},
+                    "==", 0.0))
             index = _RowIndex(bp)
             fs = FixState(n)
             for i in rng.sample(range(n), rng.randint(0, n // 3)):
@@ -292,35 +299,69 @@ class TestRowQueue:
                 continue
             if len(want[1]) + len(want[2]) > len(fs.fixed0) + len(fs.fixed1):
                 fixing += 1
-            # A child: the fixpoint plus one branching fixing, seeded from
-            # that entry's rows only.
+            # Children of the fixpoint: one branching fixing, then several
+            # new entries of mixed values as the symmetry pass adds them,
+            # each seeded from the seeded entries' wake lists only.
             parent = FixState(n, want[1], want[2])
             free = parent.unfixed()
-            if not free:
-                continue
-            i = rng.choice(free)
-            child = parent.copy()
-            (child.fixed0 if rng.random() < 0.5 else child.fixed1).add(i)
-            want = self._outcome(lambda f: _full_rescan_reference(bp, f),
-                                 child)
-            got = self._outcome(lambda f: _row_propagate(index, f, (i,)),
-                                child)
-            assert got == want, (bp, child, i)
-            children += 1
-        # The cases reach every branch: new fixings, conflicts, children.
+            for k in (1, rng.randint(2, 4)):
+                if len(free) < k:
+                    break
+                seed = rng.sample(free, k)
+                child = parent.copy()
+                for i in seed:
+                    (child.fixed0 if rng.random() < 0.5
+                     else child.fixed1).add(i)
+                want = self._outcome(
+                    lambda f: _full_rescan_reference(bp, f), child)
+                got = self._outcome(
+                    lambda f: _row_propagate(index, f, seed), child)
+                assert got == want, (bp, child, seed)
+                children += 1
+                mixed += bool(child.fixed0 & set(seed)) and \
+                    bool(child.fixed1 & set(seed))
+                neg_eq += any(row.sense == "==" and a < 0 and i in seed
+                              for row in bp.rows for i, a in row.coeffs)
+        # The cases reach every branch: new fixings, conflicts, children,
+        # mixed-value seeds and seeds in '==' rows with negative coeffs.
         assert fixing >= 150 and infeasible >= 100 and children >= 250
+        assert mixed >= 120 and neg_eq >= 80, (mixed, neg_eq)
 
     def test_child_seed_wakes_only_the_branching_rows(self):
         bp = simple_bp(4, [Row.make({0: 1.0, 1: 1.0}, "<=", 1.0),
                            Row.make({2: 1.0, 3: 1.0}, "<=", 1.0)])
         index = _RowIndex(bp)
-        assert index.watch == [[0], [0], [1], [1]]
+        assert index.wake == ([[], [], [], []], [[0], [0], [1], [1]])
         # x2 = 1 is not a fixpoint of row 1, but only x0's rows are woken.
         fs = FixState(4, set(), {0, 2})
         assert _row_propagate(index, fs, (0,))
         assert fs.fixed0 == {1}
         assert _row_propagate(index, fs)
         assert fs.fixed0 == {1, 3}
+
+    # A row over x0, x1, x2 with one coefficient, and whether fixing x0 to
+    # 0 and to 1 queues it.
+    @pytest.mark.parametrize("sense, coeff, rhs, wakes", [
+        ("<=", 1.0, 1.0, (False, True)),
+        ("<=", -1.0, -2.0, (True, False)),
+        ("==", 1.0, 1.0, (True, True)),
+        ("==", -1.0, -1.0, (True, True)),
+    ], ids=["le-pos", "le-neg", "eq-pos", "eq-neg"])
+    def test_a_fixing_queues_the_rows_it_tightens(self, sense, coeff, rhs,
+                                                   wakes):
+        index = _RowIndex(simple_bp(3, [
+            Row.make({0: coeff, 1: coeff, 2: coeff}, sense, rhs)]))
+        for v in (0, 1):
+            assert index.wake[v][0] == ([0] if wakes[v] else [])
+            # x0 = v and x1 = 1 - v make the row force x2 in every case,
+            # but seeded with x0 alone it does so only when it is queued.
+            fs = FixState(3)
+            (fs.fixed1 if v else fs.fixed0).add(0)
+            (fs.fixed0 if v else fs.fixed1).add(1)
+            assert _row_propagate(index, fs, (0,))
+            assert fs.is_fixed(2) == wakes[v], (sense, coeff, v)
+            assert _row_propagate(index, fs)
+            assert fs.is_fixed(2)
 
 
 def _nested_loop_reference(fs, engine, rows, branched):
