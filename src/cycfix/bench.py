@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import InvalidPermutationError, Permutation
-from .solver import MODES, RELABELS, BinaryProgram, Row, Settings, SolveResult, solve
+from .solver import BinaryProgram, Row, Settings, SolveResult, solve
 
 
 class InstanceError(ValueError):
@@ -355,10 +355,10 @@ class ExperimentReport:
 
 
 def _run_one(args) -> RunRow:
-    name, bp, mode, rl, time_limit = args
+    name, bp, settings = args
+    mode, rl, time_limit = settings.mode, settings.relabel, settings.time_limit
     try:
-        res: SolveResult = solve(bp, Settings(
-            mode=mode, relabel=rl, time_limit=time_limit))
+        res: SolveResult = solve(bp, settings)
         t = res.wall_time if res.status != "timelimit" else \
             (time_limit if time_limit is not None else res.wall_time)
         return RunRow(name, mode, rl, res.status, t,
@@ -378,16 +378,16 @@ def run_experiment(
     """Full factorial grid; deterministic row order regardless of workers."""
     if not instances or not modes or not relabels:
         raise ValueError("experiment grid must be nonempty in every axis")
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError("unknown mode %r" % mode)
-    for rl in relabels:
-        if rl not in RELABELS:
-            raise ValueError("unknown relabel strategy %r" % rl)
-    grid = [(name, bp, mode, rl, time_limit)
+    if jobs < 1:
+        raise ValueError("jobs %r is not a positive number of workers"
+                         % (jobs,))
+    # Settings checks each mode, relabeling and the time limit up front.
+    grid = [(name, bp, Settings(mode, rl, time_limit))
             for name, bp in instances for mode in modes for rl in relabels]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(grid))  # a pool starts all its workers at once
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) \
+                as pool:
             rows = list(pool.map(_run_one, grid))
     else:
         rows = [_run_one(g) for g in grid]

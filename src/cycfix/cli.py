@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -82,8 +83,11 @@ def _fix_state(args, bp: BinaryProgram) -> FixState:
 
 def _cmd_solve(args) -> int:
     name, bp = _load_instance(args.instance)
-    settings = Settings(
-        mode=args.mode, relabel=args.relabel, time_limit=args.time_limit)
+    try:
+        settings = Settings(
+            mode=args.mode, relabel=args.relabel, time_limit=args.time_limit)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     res = solve(bp, settings)
     print("instance: %s" % name)
     print("status: %s" % res.status)
@@ -105,12 +109,12 @@ def _cmd_solve(args) -> int:
 def _cmd_propagate(args) -> int:
     name, bp = _load_instance(args.instance)
     fs = _fix_state(args, bp)
-    res = node_propagate(bp, fs.copy(), Settings(mode=args.mode))
-    if not res.feasible:
+    out = fs.copy()
+    if not node_propagate(bp, out, Settings(mode=args.mode)):
         print("infeasible")
         return EXIT_INFEASIBLE
-    print("fixed0 added: %s" % _fmt_indices(res.fixed0 - fs.fixed0))
-    print("fixed1 added: %s" % _fmt_indices(res.fixed1 - fs.fixed1))
+    print("fixed0 added: %s" % _fmt_indices(out.fixed0 - fs.fixed0))
+    print("fixed1 added: %s" % _fmt_indices(out.fixed1 - fs.fixed1))
     return EXIT_OK
 
 
@@ -165,6 +169,9 @@ def _cmd_gen_snark(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise UsageError("--jobs %d outside 1..%d" % (args.jobs, cpus))
     try:
         with open(args.grid, "r", encoding="utf-8") as fh:
             grid = json.load(fh)
@@ -193,7 +200,7 @@ def _cmd_experiment(args) -> int:
             instances,
             modes=grid.get("modes", list(MODES)),
             relabels=grid.get("relabels", list(RELABELS)),
-            time_limit=grid.get("time_limit"),
+            time_limit=limit,
             jobs=args.jobs,
         )
     except ValueError as exc:

@@ -37,8 +37,8 @@ class Permutation:
         img = tuple(image)
         n = len(img)
         seen = [False] * n
-        for v in img:
-            if not isinstance(v, int) or v < 0 or v >= n or seen[v]:
+        for v in img:  # type(): a bool is an int, but no image entry
+            if type(v) is not int or v < 0 or v >= n or seen[v]:
                 raise InvalidPermutationError(
                     "image array of length %d is not a bijection: %r" % (n, img)
                 )
@@ -66,7 +66,7 @@ class Permutation:
         touched: Set[int] = set()
         for cyc in cycles:
             for a in cyc:
-                if not 1 <= a <= n:
+                if isinstance(a, bool) or not 1 <= a <= n:
                     raise InvalidPermutationError(
                         "cycle entry %r outside 1..%d" % (a, n)
                     )
@@ -209,10 +209,7 @@ def group_elements(
     s = len(gen.support())
     if s == 0:
         return []
-    k = gen.order() - 1
-    k = min(k, max_count)
-    if s > 0:
-        k = min(k, max_weight // s)
+    k = min(gen.order() - 1, max_count, max_weight // s)
     out: List[Permutation] = []
     cur = gen
     for _ in range(k):

@@ -9,7 +9,10 @@ one block; :func:`complete_fix_monotone_group` checks that shape and runs
 the same code.  All peeks go through :func:`peek_entries`, which runs the
 kernel only on a peek that no lex-leader completion certifies, and each
 block first asks :func:`fixes_nothing` whether both fills of the fixings
-certify the rest of the pass, which then stops.
+certify the rest of the pass, which then stops.  The private propagators
+extend one :class:`FixState` in place and return False when it is
+infeasible; a peek is added to it and taken back, and only a peek sent to
+the kernel copies it.  The public entries copy their argument.
 
 A monotone cycle visits its support in sorted order, so its entries behave
 like a rotation of the induced positions; positions outside the support
@@ -172,24 +175,6 @@ def _monotone_support(group: CyclicSubgroup) -> List[int]:
     return gen.support
 
 
-def prop4_witness(
-    group: CyclicSubgroup, fixed0: Set[int], fixed1: Set[int]
-) -> Tuple[int, ...]:
-    """Certified member of the constrained set on a per-permutation-complete
-    feasible state: ones exactly on the 1-fixed entries plus the first
-    unfixed support entry; unfixed entries elsewhere get zero.
-    """
-    support = _monotone_support(group)
-    x = [0] * group.n
-    for i in fixed1:
-        x[i] = 1
-    for i in support:
-        if i not in fixed0 and i not in fixed1:
-            x[i] = 1  # first unfixed support entry
-            break
-    return tuple(x)
-
-
 def strict_witness(
     group: CyclicSubgroup, fixed0: Set[int], fixed1: Set[int]
 ) -> Tuple[int, ...]:
@@ -213,15 +198,15 @@ def strict_witness(
     return tuple(x)
 
 
-def _feasible_with(elems: Sequence[Permutation], n: int, fixed0: Set[int],
-                   fixed1: Set[int]) -> Optional[PropagationResult]:
-    """Per-permutation completion; None when infeasible."""
-    if fixed0 & fixed1:
-        return None
-    if not elems:
-        return PropagationResult.of(fixed0, fixed1)
-    res = propagate_set(elems, FixState(n, fixed0, fixed1))
-    return res if res.feasible else None
+def _feasible_with(elems: Sequence[Permutation], fs: FixState) -> bool:
+    """Extend ``fs`` by its per-permutation completion under the non-empty
+    ``elems``; False when infeasible."""
+    res = propagate_set(elems, fs)
+    if not res.feasible:
+        return False
+    fs.fixed0 |= res.fixed0
+    fs.fixed1 |= res.fixed1
+    return True
 
 
 def complete_fix_monotone_group(
@@ -244,8 +229,10 @@ def group_feasible_monotone(group: CyclicSubgroup, fixings: FixState) -> bool:
     propagation decides.
     """
     _monotone_support(group)
-    return _feasible_with(group.elements(), group.n, set(fixings.fixed0),
-                          set(fixings.fixed1)) is not None
+    elems = group.elements()
+    if not elems:
+        return fixings.is_consistent()
+    return propagate_set(elems, fixings).feasible
 
 
 # -- ordered monotone subcycles ---------------------------------------------
@@ -268,85 +255,83 @@ def propagate_ordered_monotone(
 
     Even with ``compute_fixings`` false the per-permutation-complete sets
     are returned: they are valid fixings regardless, and callers that only
-    want the feasibility verdict can ignore them.
+    want the feasibility verdict can ignore them.  ``fixings`` is left as
+    it was.
     """
-    return _propagate_ordered(group, fixings, 1, compute_fixings)
-
-
-def _propagate_ordered(group: CyclicSubgroup, fixings: FixState,
-                       start_block: int, compute_fixings: bool
-                       ) -> PropagationResult:
-    decomp = group._gen.decomp
-    if decomp is None:
+    if group._gen.decomp is None:
         raise UnsupportedGroupError(
             "generator is not an ordered composition of monotone cycles")
-    n = group.n
-    if not fixings.is_consistent():
-        return PropagationResult.infeasible()
-    j0, j1 = set(fixings.fixed0), set(fixings.fixed1)
+    fs = fixings.copy()
+    if fs.is_consistent() and _propagate_ordered(group, fs, 0,
+                                                 compute_fixings):
+        return PropagationResult.of(fs.fixed0, fs.fixed1)
+    return PropagationResult.infeasible()
+
+
+def _propagate_ordered(group: CyclicSubgroup, fs: FixState, first: int,
+                       compute_fixings: bool) -> bool:
+    """The block loop from block ``first`` (0-based) on consistent fixings:
+    extends ``fs`` in place, False when infeasible."""
+    blocks = group._gen.decomp.blocks
+    f0, f1 = fs.fixed0, fs.fixed1
     delta = group
-    for c in range(start_block - 1, len(decomp.blocks)):
+    for c in range(first, len(blocks)):
         if delta.is_trivial():
             break  # later blocks have no elements, so they fix nothing
         # delta's restrictions to this and later blocks, at most n: a vector
         # meeting them is a lex-leader under delta.  When both fills of the
         # fixings meet them, every free entry takes both values, so nothing
         # here or later is fixed or refuted.
-        later = [h for b in decomp.blocks[c:]
+        later = [h for b in blocks[c:]
                  for h in delta.restrict_to_block(b).elements()]
-        if fixes_nothing(later, n, j0, j1):
+        if fixes_nothing(later, fs):
             break
-        block = decomp.blocks[c]
+        block = blocks[c]
         elems = delta.restrict_to_block(block).elements()
-        if elems:
-            t = _feasible_with(elems, n, j0, j1)
-            if t is None:
-                return PropagationResult.infeasible()
-            j0, j1 = set(t.fixed0), set(t.fixed1)
-        free = [i for i in block if i not in j0 and i not in j1]
+        if elems and not _feasible_with(elems, fs):
+            return False
+        free = [i for i in block if i not in f0 and i not in f1]
         if compute_fixings and free:
-            peek_entries(free, later, n, j0, j1, lambda f0, f1:
-                         not _propagate_ordered(delta, FixState(n, f0, f1),
-                                                c + 1, False).feasible)
-        if all(i in j0 or i in j1 for i in block):
-            delta = delta.stab_setwise_pair(
-                j0 & set(block), j1 & set(block))
+            peek_entries(free, later, fs, lambda f:
+                         not _propagate_ordered(delta, f, c, False))
+        if all(i in f0 or i in f1 for i in block):
+            delta = delta.stab_setwise_pair(f0 & set(block), f1 & set(block))
         else:
             delta = delta.stab_pointwise(block)
-    return PropagationResult.of(j0, j1)
+    return True
 
 
-def _fill(n: int, j0: Set[int], j1: Set[int], value: int) -> List[int]:
+def _fill(fs: FixState, value: int) -> List[int]:
     """The fixings with every free entry set to ``value``."""
-    x = [value] * n
-    for i in j0:
+    x = [value] * fs.n
+    for i in fs.fixed0:
         x[i] = 0
-    for i in j1:
+    for i in fs.fixed1:
         x[i] = 1
     return x
 
 
-def lex_leader_completion(elems: Sequence[Permutation], n: int,
-                          j0: Set[int], j1: Set[int]) -> Optional[List[int]]:
+def lex_leader_completion(elems: Sequence[Permutation],
+                          fs: FixState) -> Optional[List[int]]:
     """The fixings with every free entry 0, else with every free entry 1:
     the first of the two with x >=_lex g(x) for every g in ``elems``, or
     None.  Such an x is a member of the constrained set, so no sound
     propagation refutes a peek that agrees with it."""
     for fill in (0, 1):
-        x = _fill(n, j0, j1, fill)
+        x = _fill(fs, fill)
         if _is_lex_leader(x, elems):
             return x
     return None
 
 
-def fixes_nothing(elems: Sequence[Permutation], n: int, j0: Set[int],
-                  j1: Set[int]) -> bool:
+def fixes_nothing(elems: Sequence[Permutation], fs: FixState) -> bool:
     """True when both fills of consistent fixings, every free entry 0 and
     every free entry 1, satisfy x >=_lex g(x) for every g in ``elems``.
     Then every free entry takes both values in the constrained set, so no
     sound propagation fixes an entry or finds the fixings infeasible."""
-    return j0.isdisjoint(j1) and _is_lex_leader(_fill(n, j0, j1, 0), elems) \
-        and _is_lex_leader(_fill(n, j0, j1, 1), elems)
+    return fs.fixed0.isdisjoint(fs.fixed1) \
+        and _is_lex_leader(_fill(fs, 0), elems) \
+        and _is_lex_leader(_fill(fs, 1), elems)
 
 
 def _is_lex_leader(x: List[int], elems: Sequence[Permutation]) -> bool:
@@ -360,25 +345,28 @@ def _is_lex_leader(x: List[int], elems: Sequence[Permutation]) -> bool:
 
 
 def peek_entries(
-    entries: Iterable[int], elems: Sequence[Permutation], n: int,
-    j0: Set[int], j1: Set[int], refutes: Callable[[Set[int], Set[int]], bool],
+    entries: Iterable[int], elems: Sequence[Permutation], fs: FixState,
+    refutes: Callable[[FixState], bool],
 ) -> None:
-    """Peek each entry i (free, and fixed by no other peek) at 0, then 1;
-    when ``refutes(fixed0, fixed1)`` rejects the fixings plus i = v, add
-    i = 1 - v to ``j0``/``j1``.  A peek that the last lex-leader completion
-    or the completion with the peek agrees with is feasible and skips
-    ``refutes``; a refutation leaves the last completion valid."""
-    wit = lex_leader_completion(elems, n, j0, j1)
+    """Peek each free entry i at 0, then 1; when ``refutes`` rejects a copy
+    of the fixings plus i = v, fix i = 1 - v in ``fs``.  A peek that the
+    last lex-leader completion or the completion with the peek agrees with
+    is feasible and skips ``refutes``; a refutation leaves the last
+    completion valid.  A peek is made in ``fs`` and taken back, so only a
+    peek that goes to ``refutes`` copies the fixings."""
+    wit = lex_leader_completion(elems, fs)
     for i in entries:
-        for v in (0, 1):
+        for v, peeked in ((0, fs.fixed0), (1, fs.fixed1)):
             if wit is not None and wit[i] == v:
                 continue
-            f0, f1 = (j0 | {i}, j1) if v == 0 else (j0, j1 | {i})
-            x = lex_leader_completion(elems, n, f0, f1)
+            peeked.add(i)
+            x = lex_leader_completion(elems, fs)
+            refuted = x is None and refutes(fs.copy())
+            peeked.discard(i)
             if x is not None:
                 wit = x
-            elif refutes(f0, f1):
-                (j1 if v == 0 else j0).add(i)
+            elif refuted:
+                (fs.fixed1 if v == 0 else fs.fixed0).add(i)
                 break
 
 

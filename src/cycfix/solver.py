@@ -17,7 +17,11 @@ A unit of explicit permutations runs only when :func:`fixes_nothing` does
 not certify it: if both fills of the current fixings (free entries all 0,
 and all 1) are lex-leaders under the unit, every free entry takes both
 values, so the unit would fix nothing and find nothing infeasible.  The
-ordered path makes the same check at each block.  The modes:
+ordered path makes the same check at each block.  Every propagator in a
+node extends the node's :class:`FixState` in place and returns False when
+it is infeasible; only the public entries ``propagate_set`` and
+``propagate_ordered_monotone`` copy it and return a ``PropagationResult``,
+whose fixings the symmetry pass adds to the node's state.  The modes:
 
 - ``nosym``  — no symmetry handling;
 - ``gen``    — propagate each declared generator's constraint individually;
@@ -42,7 +46,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from .core import FixState, Permutation, group_elements, is_monotone_ordered
 from .cyclic import (CyclicSubgroup, RelabelPlan, fixes_nothing,
                      peek_entries, propagate_ordered_monotone, relabel)
-from .imptree import PropagationResult, propagate_set
+from .imptree import propagate_set
 
 MODES = ("nosym", "gen", "group", "nopeek", "peek")
 RELABELS = ("original", "max", "min", "respect")
@@ -162,13 +166,18 @@ class BinaryProgram:
 class Settings:
     mode: str = "nosym"
     relabel: str = "original"
-    time_limit: Optional[float] = None
+    time_limit: Optional[float] = None  # seconds; None or inf: no limit
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError("unknown mode %r" % (self.mode,))
         if self.relabel not in RELABELS:
             raise ValueError("unknown relabel strategy %r" % (self.relabel,))
+        t = self.time_limit
+        # not t >= 0 also holds for NaN, which no deadline test would meet
+        if t is not None and (isinstance(t, bool) or not isinstance(
+                t, (int, float)) or not t >= 0):
+            raise ValueError("time limit %r is not a number >= 0" % (t,))
 
 
 @dataclass
@@ -195,6 +204,8 @@ class _SymmetryEngine:
     def __init__(self, bp: BinaryProgram, settings: Settings):
         self.mode = settings.mode
         self.units: List[Tuple[str, object]] = []
+        self.sym_fixings = 0     # entries the passes fixed, and their time
+        self.sym_time = 0.0
         gens = [g for g in bp.generators if not g.is_identity()]
         if self.mode == "nosym" or not gens:
             return
@@ -209,14 +220,13 @@ class _SymmetryEngine:
                 if elems:
                     self.units.append(("perms", elems))
 
-    def propagate(self, fs: FixState, stats: Dict[str, float]) -> bool:
-        """One pass over the symmetry units; False = infeasible.
+    def propagate(self, fs: FixState) -> bool:
+        """One pass over the symmetry units, extending ``fs`` in place;
+        False = infeasible.
 
         :func:`node_propagate` repeats the pass, with the rows in between,
         until a pass fixes nothing.
         """
-        if not self.units:
-            return True
         t0 = time.perf_counter()
         before = len(fs.fixed0) + len(fs.fixed1)
         peek = self.mode == "peek"
@@ -225,37 +235,37 @@ class _SymmetryEngine:
                 if kind == "ordered":
                     res = propagate_ordered_monotone(
                         unit, fs, compute_fixings=peek)
-                elif fixes_nothing(unit, fs.n, fs.fixed0, fs.fixed1):
+                elif fixes_nothing(unit, fs):
                     continue  # both fills certify the unit: a no-op
                 elif peek:
-                    res = _peek_perms(unit, fs)
+                    if _peek_perms(unit, fs):
+                        continue
+                    return False
                 else:
                     res = propagate_set(unit, fs)
                 if not res.feasible:
                     return False
-                assert res.fixed0 is not None and res.fixed1 is not None
                 fs.fixed0 |= res.fixed0
                 fs.fixed1 |= res.fixed1
             return True
         finally:
-            stats["sym_fixings"] = stats.get("sym_fixings", 0) \
-                + len(fs.fixed0) + len(fs.fixed1) - before
-            stats["sym_time"] = stats.get("sym_time", 0.0) \
-                + (time.perf_counter() - t0)
+            self.sym_fixings += len(fs.fixed0) + len(fs.fixed1) - before
+            self.sym_time += time.perf_counter() - t0
 
 
-def _peek_perms(elems: List[Permutation], fs: FixState) -> PropagationResult:
+def _peek_perms(elems: List[Permutation], fs: FixState) -> bool:
     """:func:`propagate_set` plus single-value feasibility tests (peeks) on
-    the entries whose values the propagation run looked up."""
+    the entries whose values the propagation run looked up; extends ``fs``
+    in place, False when infeasible."""
     touched: Set[int] = set()
     res = propagate_set(elems, fs, touched=touched)
     if not res.feasible:
-        return res
-    j0, j1 = set(res.fixed0), set(res.fixed1)
-    peek_entries(sorted(touched - j0 - j1), elems, fs.n, j0, j1,
-                 lambda f0, f1: not propagate_set(
-                     elems, FixState(fs.n, f0, f1)).feasible)
-    return PropagationResult.of(j0, j1)
+        return False
+    fs.fixed0 |= res.fixed0
+    fs.fixed1 |= res.fixed1
+    peek_entries(sorted(touched - fs.fixed0 - fs.fixed1), elems, fs,
+                 lambda f: not propagate_set(elems, f).feasible)
+    return True
 
 
 class _RowIndex:
@@ -353,13 +363,12 @@ def _row_propagate(index: _RowIndex, fs: FixState,
 
 def node_propagate(
     bp: BinaryProgram,
-    fixings: FixState,
+    fs: FixState,
     settings: Settings,
     engine: Optional[_SymmetryEngine] = None,
-    stats: Optional[Dict[str, int]] = None,
     rows: Optional[_RowIndex] = None,
     branched: Optional[int] = None,
-) -> PropagationResult:
+) -> bool:
     """Row propagation and symmetry propagation to a joint fixpoint.
 
     This is the solver's one fixpoint loop over propagators.  Each turn
@@ -367,33 +376,29 @@ def node_propagate(
     that pass fixes seed the next turn's row queue, and a pass that fixes
     nothing ends the loop.
 
-    ``fixings`` is extended in place.  ``branched`` says that ``fixings`` is
-    a row fixpoint plus the fixing of that one entry, as at a search child,
-    so only the rows that fixing tightens are queued at first; without it
-    every row is.
+    ``fs`` is extended in place; False when it is infeasible.  ``branched``
+    says that ``fs`` is a row fixpoint plus the fixing of that one entry,
+    as at a search child, so only the rows that fixing tightens are queued
+    at first; without it every row is.
     """
-    if not fixings.is_consistent():
-        return PropagationResult.infeasible()
+    if not fs.is_consistent():
+        return False
     if engine is None:
         engine = _SymmetryEngine(bp, settings)
-    if stats is None:
-        stats = {}
     if rows is None:
         rows = _RowIndex(bp)
-    fs = fixings
     wake = None if branched is None else (branched,)
     while True:
         if not _row_propagate(rows, fs, wake):
-            return PropagationResult.infeasible()
+            return False
         if not engine.units:
-            break
+            return True
         seen = fs.fixed0 | fs.fixed1
-        if not engine.propagate(fs, stats):
-            return PropagationResult.infeasible()
+        if not engine.propagate(fs):
+            return False
         if len(fs.fixed0) + len(fs.fixed1) == len(seen):
-            break
+            return True
         wake = (fs.fixed0 | fs.fixed1) - seen
-    return PropagationResult.of(fs.fixed0, fs.fixed1)
 
 
 def _relabel_program(
@@ -431,7 +436,6 @@ def solve(bp: BinaryProgram, settings: Settings = Settings()) -> SolveResult:
     work, plan = _relabel_program(bp, settings.relabel)
     engine = _SymmetryEngine(work, settings)
     rows = _RowIndex(work)
-    stats: Dict[str, float] = {"sym_fixings": 0}
     n = work.n
     best_obj: Optional[float] = None
     best_x: Optional[Tuple[int, ...]] = None
@@ -446,8 +450,7 @@ def solve(bp: BinaryProgram, settings: Settings = Settings()) -> SolveResult:
             break
         fs, branched = stack.pop()
         nodes += 1
-        res = node_propagate(work, fs, settings, engine, stats, rows, branched)
-        if not res.feasible:
+        if not node_propagate(work, fs, settings, engine, rows, branched):
             continue
         f0, f1 = fs.fixed0, fs.fixed1
         if best_obj is not None:  # the bound only prunes against one
@@ -488,7 +491,7 @@ def solve(bp: BinaryProgram, settings: Settings = Settings()) -> SolveResult:
         objective=best_obj,
         incumbent=incumbent,
         nodes=nodes,
-        sym_fixings=int(stats.get("sym_fixings", 0)),
+        sym_fixings=engine.sym_fixings,
         wall_time=wall,
-        sym_time=float(stats.get("sym_time", 0.0)),
+        sym_time=engine.sym_time,
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cycfix import bench as bench_module
 from cycfix.bench import (ExperimentReport, InstanceError, RunRow, gen_snark,
                           instance_to_dict, parse_instance,
                           parse_instance_dict, run_experiment,
@@ -94,6 +95,9 @@ class TestInstanceFormat:
         ("generators", 5, "generators"),
         ("generators", [[[1, "b"]]], "generator 1"),
         ("generators", [[1, 2]], "generator 1"),
+        # from_cycles took True as 1 and read the transposition (1,2).
+        ("generators", [[[True, 2]]], "generator 1: cycle entry True"),
+        ("generators", [[[1, False]]], "generator 1: cycle entry False"),
         ("n", True, "n must be"),
         # float() took these: a boolean, a numeric string, NaN, infinity.
         ("objective", {"1": True}, "objective: value True at index 1"),
@@ -116,7 +120,8 @@ class TestInstanceFormat:
          "row 1: rhs inf"),
     ], ids=["rhs-str", "objective-str", "objective-int", "row-int",
             "coeffs-list", "rows-object", "variables-int", "generators-int",
-            "cycle-str", "cycle-int", "n-bool", "objective-bool",
+            "cycle-str", "cycle-int", "cycle-true", "cycle-false", "n-bool",
+            "objective-bool",
             "objective-numeric-str", "objective-nan", "objective-nan-str",
             "coeff-numeric-str", "coeff-bool", "coeff-inf", "coeff-huge-int",
             "rhs-bool", "rhs-numeric-str", "rhs-inf"])
@@ -232,6 +237,43 @@ class TestExperiment:
         assert [(r.instance, r.mode, r.status, r.nodes) for r in serial.rows] \
             == [(r.instance, r.mode, r.status, r.nodes)
                 for r in parallel.rows]
+
+    def test_no_more_workers_than_cells(self, monkeypatch):
+        started = []
+
+        class FakePool:  # runs the cells in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(bench_module.concurrent.futures,
+                            "ProcessPoolExecutor", FakePool)
+        inst = [self.small_instance()]
+        assert len(run_experiment(inst, ["nosym"], ["original"],
+                                  jobs=2).rows) == 1
+        assert started == []  # one cell runs without a pool
+        assert len(run_experiment(inst, ["nosym", "gen"], ["original"],
+                                  jobs=8).rows) == 2
+        assert started == [2]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_experiment([self.small_instance()], ["nosym"], ["original"],
+                           jobs=jobs)
+
+    def test_bad_time_limit_rejected(self):
+        with pytest.raises(ValueError, match="time limit"):
+            run_experiment([self.small_instance()], ["nosym"], ["original"],
+                           time_limit=float("nan"))
 
     def test_failures_become_rows(self):
         bad = BinaryProgram(2, [1.0, 1.0], [], None, [])

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -42,6 +43,13 @@ class TestSolveCommand:
         rc = cli.main(["solve", "--instance", snark3, "--mode", "nosym",
                        "--time-limit", "0"])
         assert rc == cli.EXIT_TIMELIMIT
+
+    @pytest.mark.parametrize("limit", ["nan", "-1"])
+    def test_bad_time_limit_is_usage_error(self, snark3, capsys, limit):
+        rc = cli.main(["solve", "--instance", snark3, "--mode", "nosym",
+                       "--time-limit", limit])
+        assert rc == cli.EXIT_USAGE
+        assert "time limit" in capsys.readouterr().err
 
     def test_missing_instance_is_usage_error(self, capsys):
         rc = cli.main(["solve"])
@@ -183,8 +191,10 @@ class TestExperimentCommand:
         ({"modes": "peek"}, "'modes' is not a list of strings"),
         ({"time_limit": "1"}, "'time_limit' is neither a number nor null"),
         ({"time_limit": True}, "'time_limit' is neither a number nor null"),
+        ({"time_limit": float("nan")}, "time limit nan"),
+        ({"time_limit": -1}, "time limit -1"),
     ], ids=["list", "number", "instance-int", "modes-str", "limit-str",
-            "limit-bool"])
+            "limit-bool", "limit-nan", "limit-negative"])
     def test_grid_types_rejected(self, cyclic5, tmp_path, capsys, doc,
                                  message):
         if isinstance(doc, dict) and "instances" not in doc:
@@ -194,6 +204,20 @@ class TestExperimentCommand:
         assert cli.main(["experiment", "--grid", str(grid), "--out", "-"]) \
             == cli.EXIT_USAGE
         assert message in capsys.readouterr().err
+
+
+# A pool of J workers starts them all on its first task, and J below 1 ran
+# serially.  Every value here is rejected before a pool exists.
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1],
+                         ids=["zero", "negative", "above-cpus"])
+def test_experiment_jobs_outside_the_cpus_rejected(cyclic5, tmp_path, capsys,
+                                                   jobs):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"instances": [cyclic5]}))
+    assert cli.main(["experiment", "--grid", str(grid), "--out", "-",
+                     "--jobs", str(jobs)]) == cli.EXIT_USAGE
+    assert "--jobs %d outside 1..%d" % (jobs, os.cpu_count() or 1) \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "propagate", "oracle",

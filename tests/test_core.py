@@ -33,6 +33,16 @@ class TestPermutation:
         with pytest.raises(InvalidPermutationError):
             Permutation.from_cycles(3, [(1, 4)])
 
+    def test_bool_entries_rejected(self):
+        # A bool is an int: True read as 1 gave the transposition (1,2).
+        with pytest.raises(InvalidPermutationError, match="True"):
+            Permutation.from_cycles(3, [(True, 2)])
+        with pytest.raises(InvalidPermutationError):
+            Permutation([True, False])
+        with pytest.raises(InvalidPermutationError):
+            Permutation([1, 0, False])
+        assert Permutation([1, 0]).image == (1, 0)
+
     def test_apply_moves_entries(self):
         # gamma = (1,2,3): position 1's value shows up at position 2.
         p = Permutation.from_cycles(3, [(1, 2, 3)])

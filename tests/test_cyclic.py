@@ -8,7 +8,7 @@ from cycfix.core import (FixState, InvalidRestrictionError, Permutation,
 from cycfix.cyclic import (CyclicSubgroup, UnsupportedGroupError,
                            complete_fix_monotone_group, fixes_nothing,
                            group_feasible_monotone, lex_leader_completion,
-                           prop4_witness, propagate_ordered_monotone,
+                           propagate_ordered_monotone,
                            relabel, strict_witness)
 from cycfix.imptree import PropagationResult, propagate_set
 from cycfix.oracle import (complete_fixings_oracle, enumerate_feasible,
@@ -184,14 +184,6 @@ class TestWitnesses:
             hits += 1
         assert hits > 100
 
-    def test_membership_witness(self):
-        def check(grp, fs):
-            x = prop4_witness(grp, fs.fixed0, fs.fixed1)
-            assert all(x[i] == 0 for i in fs.fixed0)
-            assert all(x[i] == 1 for i in fs.fixed1)
-            assert is_lex_leader(x, grp.elements())
-        self.run_cases(check)
-
     def test_strict_witness(self):
         def check(grp, fs):
             x = strict_witness(grp, fs.fixed0, fs.fixed1)
@@ -221,7 +213,7 @@ class TestLexLeaderCompletion:
                             else fill for i in range(n)] for fill in (0, 1)]
             want = next((fill for fill in (0, 1)
                          if is_lex_leader(completions[fill], elems)), None)
-            got = lex_leader_completion(elems, n, fs.fixed0, fs.fixed1)
+            got = lex_leader_completion(elems, fs)
             assert got == (None if want is None else completions[want]), \
                 (elems, fs)
             tally[want] += 1
@@ -248,7 +240,7 @@ class TestFixesNothing:
             fs = rand_fixstate(rng, n)
             fills = [[1 if i in fs.fixed1 else 0 if i in fs.fixed0
                       else fill for i in range(n)] for fill in (0, 1)]
-            got = fixes_nothing(elems, n, fs.fixed0, fs.fixed1)
+            got = fixes_nothing(elems, fs)
             assert got == all(is_lex_leader(x, elems) for x in fills), \
                 (elems, fs)
             if got:
@@ -275,7 +267,7 @@ class TestFixesNothing:
             restrictions = [h for b in blocks
                             for h in grp.restrict_to_block(b).elements()]
             fs = rand_fixstate(rng, n)
-            if fixes_nothing(restrictions, n, fs.fixed0, fs.fixed1):
+            if fixes_nothing(restrictions, fs):
                 held += 1
                 assert complete_fixings_oracle(grp.elements(), fs.copy()) \
                     == PropagationResult.of(fs.fixed0, fs.fixed1), (grp, fs)
@@ -283,8 +275,43 @@ class TestFixesNothing:
 
     def test_inconsistent_fixings_never_hold(self):
         gen = Permutation.from_cycles(3, [(1, 2)])
-        assert fixes_nothing([gen], 3, set(), set())
-        assert not fixes_nothing([gen], 3, {0}, {0})
+        assert fixes_nothing([gen], FixState(3))
+        assert not fixes_nothing([gen], FixState(3, {0}, {0}))
+
+
+class TestPublicEntriesKeepTheirArgument:
+    """The public entries copy the FixState they are given; only the
+    private propagators extend one in place."""
+
+    def test_randomized(self):
+        # Monotone cyclic groups and ordered monotone generators, n <= 11,
+        # under random fixings, one case in five with an entry fixed both
+        # ways.
+        rng = random.Random(20233)
+        grew = 0
+        for k in range(600):
+            n = rng.randint(4, 11)
+            single = k % 2 == 0
+            grp = (rand_monotone_group if single
+                   else rand_ordered_monotone_group)(rng, n)
+            fs = rand_fixstate(rng, n)
+            if k % 5 == 0:
+                i = rng.randrange(n)
+                fs.fixed0.add(i)
+                fs.fixed1.add(i)
+            before = fs.copy()
+            results = [propagate_ordered_monotone(grp, fs),
+                       propagate_ordered_monotone(grp, fs,
+                                                  compute_fixings=False),
+                       propagate_set(grp.elements(), fs)]
+            if single:
+                results.append(complete_fix_monotone_group(grp, fs))
+                group_feasible_monotone(grp, fs)
+            assert fs == before, (grp, before)
+            grew += any(r.feasible and len(r.fixed0) + len(r.fixed1)
+                        > len(fs.fixed0) + len(fs.fixed1) for r in results)
+        # Most cases fix new entries, which a mutating entry would leave.
+        assert grew >= 150, grew
 
 
 class TestOrderedMonotone:

@@ -51,43 +51,49 @@ class TestRowTypes:
 
 
 class TestNodePropagate:
+    """node_propagate extends the node's FixState in place and returns
+    False when it is infeasible."""
+
     def test_row_propagation_fixes_forced_entries(self):
         bp = simple_bp(3, [Row.make({0: 1.0, 1: 1.0}, "<=", 1.0),
                            Row.make({2: 1.0}, "==", 1.0)])
-        res = node_propagate(bp, FixState(3, set(), {0}), Settings())
-        assert res.feasible
-        assert 1 in res.fixed0  # x0 = 1 forces x1 = 0
-        assert 2 in res.fixed1  # equality row forces x2 = 1
+        fs = FixState(3, set(), {0})
+        assert node_propagate(bp, fs, Settings()) is True
+        # x0 = 1 forces x1 = 0; the equality row forces x2 = 1
+        assert (fs.fixed0, fs.fixed1) == ({1}, {0, 2})
 
     def test_row_conflict_is_infeasible(self):
         bp = simple_bp(2, [Row.make({0: 1.0, 1: 1.0}, "==", 2.0)])
-        res = node_propagate(bp, FixState(2, {0}, set()), Settings())
-        assert not res.feasible
+        assert node_propagate(bp, FixState(2, {0}, set()), Settings()) \
+            is False
+
+    def test_inconsistent_fixings_are_infeasible(self):
+        fs = FixState(2, {0}, {0})
+        assert node_propagate(simple_bp(2), fs, Settings()) is False
 
     def test_nosym_ignores_generators(self):
         gen = Permutation.from_cycles(3, [(1, 2, 3)])
         bp = simple_bp(3, [], [gen], objective=[1.0] * 3)
-        res = node_propagate(bp, FixState(3, {0}, set()),
-                             Settings(mode="nosym"))
-        assert res.fixed0 == frozenset({0})
+        fs = FixState(3, {0}, set())
+        assert node_propagate(bp, fs, Settings(mode="nosym")) is True
+        assert (fs.fixed0, fs.fixed1) == ({0}, set())
 
     def test_group_mode_derives_symmetry_fixings(self):
         gen = Permutation.from_cycles(3, [(1, 2, 3)])
         bp = simple_bp(3, [], [gen], objective=[1.0] * 3)
         # x1 = 0 and the lex-leader constraints force x2 = x3 = 0
-        res = node_propagate(bp, FixState(3, {0}, set()),
-                             Settings(mode="group"))
-        assert res.feasible
-        assert res.fixed0 == frozenset({0, 1, 2})
+        fs = FixState(3, {0}, set())
+        assert node_propagate(bp, fs, Settings(mode="group")) is True
+        assert (fs.fixed0, fs.fixed1) == ({0, 1, 2}, set())
 
     def test_peek_completes_the_cyclic_gap(self):
         gen = Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
         bp = simple_bp(5, [], [gen], objective=[1.0] * 5)
-        fs = FixState(5, {1, 4}, set())
-        nopeek = node_propagate(bp, fs.copy(), Settings(mode="nopeek"))
-        peek = node_propagate(bp, fs.copy(), Settings(mode="peek"))
-        assert nopeek.fixed0 == frozenset({1, 4})
-        assert peek.fixed0 == frozenset({1, 3, 4})
+        nopeek, peek = FixState(5, {1, 4}, set()), FixState(5, {1, 4}, set())
+        assert node_propagate(bp, nopeek, Settings(mode="nopeek"))
+        assert node_propagate(bp, peek, Settings(mode="peek"))
+        assert (nopeek.fixed0, nopeek.fixed1) == ({1, 4}, set())
+        assert (peek.fixed0, peek.fixed1) == ({1, 3, 4}, set())
 
     def test_peek_fallback_for_unordered_generator(self):
         # (1,3,2,4) has two descents, so nopeek/peek fall back to its
@@ -98,10 +104,11 @@ class TestNodePropagate:
         want = {"group": {2}, "nopeek": {2}, "peek": {2, 3}}
         oracle = complete_fixings_oracle(group_elements(gen), fs.copy())
         for mode, fixed0 in want.items():
-            res = node_propagate(bp, fs.copy(), Settings(mode=mode))
-            assert (res.fixed0, res.fixed1) == (fixed0, set()), mode
-            assert res.fixed0 <= oracle.fixed0, mode
-            assert res.fixed1 <= oracle.fixed1, mode
+            got = fs.copy()
+            assert node_propagate(bp, got, Settings(mode=mode)), mode
+            assert (got.fixed0, got.fixed1) == (fixed0, set()), mode
+            assert got.fixed0 <= oracle.fixed0, mode
+            assert got.fixed1 <= oracle.fixed1, mode
 
 
 def _peek_loop_reference(elems, fs):
@@ -142,8 +149,12 @@ class TestPeekPerms:
                     rng.sample(range(n), rng.randint(2, n)), n))
             fs = rand_fixstate(rng, n, 0.1, 0.1)
             want, added = _peek_loop_reference(elems, fs.copy())
-            assert solver_module._peek_perms(elems, fs.copy()) == want, \
-                (elems, fs)
+            got = fs.copy()
+            ok = solver_module._peek_perms(elems, got)
+            assert ok is want.feasible, (elems, fs)
+            if ok:
+                assert (got.fixed0, got.fixed1) == (want.fixed0, want.fixed1), \
+                    (elems, fs)
             infeasible += not want.feasible
             peeked += added > 0
         # The cases reach refuted base runs and peeks that fix entries.
@@ -160,7 +171,9 @@ def _every_unit_reference(engine, fs):
             res = cyclic_module.propagate_ordered_monotone(
                 unit, fs, compute_fixings=peek)
         elif peek:
-            res = solver_module._peek_perms(unit, fs)
+            if not solver_module._peek_perms(unit, fs):
+                return False
+            continue
         else:
             res = propagate_set(unit, fs)
         if not res.feasible:
@@ -200,7 +213,7 @@ class TestCertifiedUnits:
                                   lambda *args: False)
                         ok = _every_unit_reference(engine, ref)
                     before = len(fs.fixed0) + len(fs.fixed1)
-                    assert engine.propagate(fs, {}) == ok, (gens, mode, ref)
+                    assert engine.propagate(fs) is ok, (gens, mode, ref)
                     if not ok:
                         tally["infeasible"] += 1
                         continue
@@ -369,7 +382,6 @@ def _nested_loop_reference(fs, engine, rows, branched):
     own fixpoint (passes repeated until one fixes nothing), until the units
     fix nothing.  Extends ``fs`` in place; returns (feasible, the number of
     symmetry passes that fixed something)."""
-    stats = {}
     fixing_passes = 0
     wake = None if branched is None else (branched,)
     while True:
@@ -378,7 +390,7 @@ def _nested_loop_reference(fs, engine, rows, branched):
         seen = fs.fixed0 | fs.fixed1
         while True:
             before = len(fs.fixed0) + len(fs.fixed1)
-            if not engine.propagate(fs, stats):
+            if not engine.propagate(fs):
                 return False, fixing_passes
             if len(fs.fixed0) + len(fs.fixed1) == before:
                 break
@@ -393,18 +405,18 @@ class TestOneFixpointLoop:
     node of whole searches: the same fixing sets, or both infeasible."""
 
     def _solve_checked(self, monkeypatch, bp, settings, tally):
-        def checked(work, fs, settings, engine, stats, rows, branched):
+        def checked(work, fs, settings, engine, rows, branched):
             ref = fs.copy()
             ok, passes = _nested_loop_reference(ref, engine, rows, branched)
-            res = node_propagate(work, fs, settings, engine, stats, rows,
-                                 branched)
-            assert res.feasible == ok
+            feasible = node_propagate(work, fs, settings, engine, rows,
+                                      branched)
+            assert feasible is ok
             if ok:
                 assert (fs.fixed0, fs.fixed1) == (ref.fixed0, ref.fixed1)
             tally["nodes"] += 1
             tally["sym"] += passes >= 1
             tally["multi"] += passes >= 2
-            return res
+            return feasible
         monkeypatch.setattr(solver_module, "node_propagate", checked)
         return solve(bp, settings)
 
@@ -470,6 +482,19 @@ class TestSolve:
         bp = planted_symmetric_bp(rng, 14)
         res = solve(bp, Settings(mode="nosym", time_limit=0.0))
         assert res.status == "timelimit"
+
+    # NaN never timed out (every comparison with it is false), and -1
+    # stopped at once as if that were a time limit.
+    @pytest.mark.parametrize("limit", [float("nan"), -1, -0.5, True, "1"],
+                             ids=["nan", "minus-one", "negative", "bool",
+                                  "str"])
+    def test_bad_time_limit_rejected(self, limit):
+        with pytest.raises(ValueError, match="time limit"):
+            Settings(time_limit=limit)
+
+    def test_infinite_time_limit_is_no_limit(self):
+        res = solve(simple_bp(4), Settings(time_limit=float("inf")))
+        assert res.status == "optimal"
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("relabel", RELABELS)
