@@ -2,8 +2,10 @@
 
 Subpackages:
 
-- :mod:`cycfix.core` — permutations, monotone-cycle tests, fixing sets.
-- :mod:`cycfix.imptree` — per-permutation propagation via implication trees.
+- :mod:`cycfix.core` — permutations, monotone-cycle tests, fixing sets and
+  propagation results.
+- :mod:`cycfix.imptree` — the implication-tree kernel: per-permutation
+  propagation events and the propagation loop over a set of permutations.
 - :mod:`cycfix.cyclic` — complete propagation for (ordered) monotone cyclic
   groups, stabilizer filtering, relabeling heuristics.
 - :mod:`cycfix.oracle` — exhaustive-enumeration ground truth for testing.
@@ -15,12 +17,13 @@ Subpackages:
 from .core import (
     FixState,
     Permutation,
+    PropagationResult,
     SubcycleDecomposition,
     group_elements,
     is_monotone,
     is_monotone_ordered,
 )
-from .imptree import PropagationResult, propagate_set
+from .imptree import propagate_set
 
 __all__ = [
     "FixState",

@@ -55,22 +55,36 @@ def _number(val: object) -> Optional[float]:
     return val if math.isfinite(val) else None
 
 
+def parse_index(text: str, n: int, what: str) -> int:
+    """The 0-based position of a 1-based index spelled ``str(i)``.
+
+    ``int()`` also reads "01", " 2", "+3", "1_0" and non-ASCII digits, so
+    two spellings of one index could silently overwrite each other; only
+    the canonical spelling is an index here.
+    """
+    try:
+        i = int(text)
+    except (TypeError, ValueError):
+        raise InstanceError("%s: non-integer index %r" % (what, text))
+    if str(i) != text:
+        raise InstanceError("%s: index %r is not written as a plain "
+                            "decimal" % (what, text))
+    if not 1 <= i <= n:
+        raise InstanceError("%s: index %d outside 1..%d" % (what, i, n))
+    return i - 1
+
+
 def _sparse_to_dense(obj: Dict[str, float], n: int, what: str) -> List[float]:
     if not isinstance(obj, dict):
         raise InstanceError("%s: not an object of index: value" % what)
     dense = [0.0] * n
     for key, val in obj.items():
-        try:
-            i = int(key)
-        except (TypeError, ValueError):
-            raise InstanceError("%s: non-integer index %r" % (what, key))
-        if not 1 <= i <= n:
-            raise InstanceError("%s: index %d outside 1..%d" % (what, i, n))
+        i = parse_index(key, n, what)
         num = _number(val)
         if num is None:
-            raise InstanceError("%s: value %r at index %d is not a finite "
-                                "number" % (what, val, i))
-        dense[i - 1] = num
+            raise InstanceError("%s: value %r at index %s is not a finite "
+                                "number" % (what, val, key))
+        dense[i] = num
     return dense
 
 
@@ -83,6 +97,8 @@ def parse_instance_dict(doc: dict) -> Tuple[str, BinaryProgram]:
     for req in ("name", "n", "rows"):
         if req not in doc:
             raise InstanceError("missing key %r" % req)
+    if not isinstance(doc["name"], str):
+        raise InstanceError("name must be a string")
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InstanceError("n must be a positive integer")
@@ -131,7 +147,7 @@ def parse_instance_dict(doc: dict) -> Tuple[str, BinaryProgram]:
             raise InstanceError("generator %d: %r is not a list of cycles "
                                 "of integers" % (gidx, cycles))
     bp = BinaryProgram(n, objective, rows, names, generators)
-    return str(doc["name"]), bp
+    return doc["name"], bp
 
 
 def instance_to_dict(name: str, bp: BinaryProgram) -> dict:

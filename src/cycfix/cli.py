@@ -42,15 +42,8 @@ def _parse_fix_list(text: Optional[str], n: int, what: str) -> List[int]:
     out = []
     for part in text.split(","):
         part = part.strip()
-        if not part:
-            continue
-        try:
-            i = int(part)
-        except ValueError:
-            raise UsageError("%s: %r is not an integer" % (what, part))
-        if not 1 <= i <= n:
-            raise UsageError("%s: index %d outside 1..%d" % (what, i, n))
-        out.append(i - 1)
+        if part:
+            out.append(bench.parse_index(part, n, what))
     return out
 
 
@@ -61,7 +54,7 @@ def _fmt_indices(indices) -> str:
 def _load_instance(path: str):
     try:
         name, bp = bench.parse_instance(path)
-    except (OSError, bench.InstanceError) as exc:
+    except OSError as exc:
         raise UsageError(str(exc))
     try:
         bp.check_generators()
@@ -263,7 +256,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.print_help()
             return EXIT_USAGE
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, bench.InstanceError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

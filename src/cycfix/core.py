@@ -1,4 +1,5 @@
-"""Permutation arithmetic, monotone-cycle tests and fixing-set bookkeeping.
+"""Permutation arithmetic, monotone-cycle tests, fixing-set bookkeeping and
+the result type of the propagation entries.
 
 All indices in this module are 0-based except for cycle notation:
 :meth:`Permutation.from_cycles` and :meth:`Permutation.cycles` speak the usual
@@ -9,7 +10,9 @@ blocks — uses 0-based positions.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (FrozenSet, Iterable, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 
 class DimensionError(ValueError):
@@ -326,3 +329,25 @@ class FixState:
             sorted(self.fixed0),
             sorted(self.fixed1),
         )
+
+
+@dataclass(frozen=True)
+class PropagationResult:
+    """Outcome of a propagation run; fixing sets present iff feasible."""
+
+    feasible: bool
+    fixed0: Optional[FrozenSet[int]] = None
+    fixed1: Optional[FrozenSet[int]] = None
+
+    @classmethod
+    def infeasible(cls) -> "PropagationResult":
+        return cls(False)
+
+    @classmethod
+    def of(cls, fixed0: Iterable[int], fixed1: Iterable[int]) -> "PropagationResult":
+        return cls(True, frozenset(fixed0), frozenset(fixed1))
+
+    def as_fixstate(self, n: int) -> FixState:
+        if not self.feasible:
+            raise ValueError("no fixing sets on an infeasible result")
+        return FixState(n, self.fixed0, self.fixed1)

@@ -33,8 +33,9 @@ from math import gcd, lcm
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
-from .core import FixState, Permutation, is_monotone, ordered_decomposition
-from .imptree import PropagationResult, propagate_set
+from .core import (FixState, Permutation, PropagationResult, is_monotone,
+                   ordered_decomposition)
+from .imptree import propagate_set
 
 
 class UnsupportedGroupError(ValueError):

@@ -3,7 +3,7 @@
 Deliberately naive: every answer is obtained by enumerating bit vectors and
 checking the defining conditions literally.  The propagation modules are
 tested against this module, so nothing here may share code with them beyond
-the basic permutation type.
+the basic types of :mod:`cycfix.core`.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
-from .core import FixState, Permutation
-from .imptree import PropagationResult
+from .core import FixState, Permutation, PropagationResult
 
 DEFAULT_CAP = 25
 

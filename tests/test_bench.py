@@ -118,13 +118,28 @@ class TestInstanceFormat:
          "row 1: rhs '1'"),
         ("rows", [{"coeffs": {"1": 1.0}, "sense": "<=", "rhs": float("inf")}],
          "row 1: rhs inf"),
+        # int() took these, so two spellings of one index overwrote each
+        # other: {"1": 1.0, "01": 2.0} was the single coefficient 2.0 on x1.
+        ("objective", {"1": 1.0, "01": 2.0}, "objective: index '01'"),
+        ("objective", {" 2": 1.0}, "objective: index ' 2'"),
+        ("objective", {"+2": 1.0}, r"objective: index '\+2'"),
+        ("objective", {"0_1": 1.0}, "objective: index '0_1'"),
+        ("objective", {"\u0661": 1.0}, "objective: index '\u0661'"),
+        ("rows", [{"coeffs": {"2": 1.0, "02": 1.0}, "sense": "<=",
+                   "rhs": 1.0}], "row 1: index '02'"),
+        # str() made any value a name: {"a": 1} became "{'a': 1}".
+        ("name", {"a": 1}, "name must be a string"),
+        ("name", 7, "name must be a string"),
     ], ids=["rhs-str", "objective-str", "objective-int", "row-int",
             "coeffs-list", "rows-object", "variables-int", "generators-int",
             "cycle-str", "cycle-int", "cycle-true", "cycle-false", "n-bool",
             "objective-bool",
             "objective-numeric-str", "objective-nan", "objective-nan-str",
             "coeff-numeric-str", "coeff-bool", "coeff-inf", "coeff-huge-int",
-            "rhs-bool", "rhs-numeric-str", "rhs-inf"])
+            "rhs-bool", "rhs-numeric-str", "rhs-inf", "index-leading-zero",
+            "index-space", "index-plus", "index-underscore",
+            "index-non-ascii", "coeff-index-leading-zero", "name-object",
+            "name-int"])
     def test_malformed_values_rejected(self, key, value, message):
         doc = {"name": "pair", "n": 2, "objective": {"1": 1.0, "2": 1.0},
                "rows": [{"coeffs": {"1": 1.0, "2": 1.0}, "sense": "<=",

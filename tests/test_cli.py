@@ -123,6 +123,20 @@ class TestPropagateAndOracle:
         rc = cli.main(["propagate", "--instance", cyclic5, "--fix0", "9"])
         assert rc == cli.EXIT_USAGE
 
+    # int() read "01" as x1, "+2" and "0_2" as x2, and an Arabic-Indic
+    # digit one as x1.
+    @pytest.mark.parametrize("text", ["01", "+2", "0_2", "\u0661", "2,,x"])
+    def test_non_canonical_index_rejected(self, cyclic5, text, capsys):
+        rc = cli.main(["propagate", "--instance", cyclic5, "--fix1", text])
+        assert rc == cli.EXIT_USAGE
+        assert "error: --fix1: " in capsys.readouterr().err
+
+    def test_spaces_around_commas_allowed(self, cyclic5, capsys):
+        rc = cli.main(["propagate", "--instance", cyclic5,
+                       "--fix0", " 2 , 5 ", "--mode", "peek"])
+        assert rc == cli.EXIT_OK
+        assert "fixed0 added: 4" in capsys.readouterr().out
+
 
 class TestGenSnarkCommand:
     def test_writes_instance(self, tmp_path, capsys):

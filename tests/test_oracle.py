@@ -1,7 +1,9 @@
+import ast
 import random
 
 import pytest
 
+from cycfix import oracle
 from cycfix.core import FixState, Permutation
 from cycfix.imptree import propagate_set
 from cycfix.oracle import (CapacityError, complete_fixings_oracle,
@@ -90,3 +92,18 @@ def test_is_lex_leader():
     assert is_lex_leader((1, 0, 0), [gamma, gamma ** 2])
     assert not is_lex_leader((0, 1, 0), [gamma, gamma ** 2])
     assert is_lex_leader((1, 1, 1), [gamma, gamma ** 2])
+
+
+def test_oracle_shares_no_code_with_the_propagators():
+    """The oracle is ground truth, so from this package it imports only
+    the permutation and fixing-set types of ``cycfix.core``."""
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    ours = {m for m in imported if m.startswith((".", "cycfix"))}
+    assert ours == {".core"}
