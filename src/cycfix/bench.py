@@ -178,6 +178,9 @@ def parse_instance(path: str) -> Tuple[str, BinaryProgram]:
         except json.JSONDecodeError as exc:
             raise InstanceError("%s: invalid JSON at line %d: %s"
                                 % (path, exc.lineno, exc.msg))
+        except (UnicodeDecodeError, RecursionError) as exc:
+            # Non-UTF-8 bytes, or nesting deeper than the decoder's stack.
+            raise InstanceError("%s: unreadable JSON: %s" % (path, exc))
     try:
         return parse_instance_dict(doc)
     except InstanceError as exc:

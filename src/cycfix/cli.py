@@ -168,7 +168,9 @@ def _cmd_experiment(args) -> int:
     try:
         with open(args.grid, "r", encoding="utf-8") as fh:
             grid = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers invalid JSON and non-UTF-8 bytes; RecursionError
+        # nesting deeper than the decoder's stack.
         raise UsageError("grid %s: %s" % (args.grid, exc))
     if not isinstance(grid, dict):
         raise UsageError("grid %s: not a JSON object" % args.grid)

@@ -93,6 +93,21 @@ class TestSolveCommand:
         assert message in capsys.readouterr().err
 
 
+# Each document died with a traceback and exit 1, which means "infeasible":
+# a UnicodeDecodeError on the bytes, a RecursionError on the nesting.
+UNREADABLE = [b"\xff\xfe{}", b"[" * 200000]
+UNREADABLE_IDS = ["non-utf8", "deep-nesting"]
+
+
+@pytest.mark.parametrize("command", ["solve", "propagate", "oracle"])
+@pytest.mark.parametrize("data", UNREADABLE, ids=UNREADABLE_IDS)
+def test_unreadable_instance_is_input_error(command, data, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert cli.main([command, "--instance", str(path)]) == cli.EXIT_USAGE
+    assert "unreadable JSON" in capsys.readouterr().err
+
+
 class TestPropagateAndOracle:
     def test_peek_closes_the_gap(self, cyclic5, capsys):
         rc = cli.main(["propagate", "--instance", cyclic5,
@@ -218,6 +233,26 @@ class TestExperimentCommand:
         assert cli.main(["experiment", "--grid", str(grid), "--out", "-"]) \
             == cli.EXIT_USAGE
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", UNREADABLE, ids=UNREADABLE_IDS)
+def test_unreadable_grid_is_usage_error(data, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_bytes(data)
+    assert cli.main(["experiment", "--grid", str(grid), "--out", "-"]) \
+        == cli.EXIT_USAGE
+    assert "error: grid %s: " % grid in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", UNREADABLE, ids=UNREADABLE_IDS)
+def test_unreadable_grid_instance_is_input_error(data, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"instances": [str(path)]}))
+    assert cli.main(["experiment", "--grid", str(grid), "--out", "-"]) \
+        == cli.EXIT_USAGE
+    assert "unreadable JSON" in capsys.readouterr().err
 
 
 # A pool of J workers starts them all on its first task, and J below 1 ran

@@ -87,6 +87,19 @@ class TestSingleStepEvents:
         assert tree_shape(state.tree) == ["root", ["necc(1,1)", ["loose"]]]
         assert sched.pending == {0: 1}
 
+    @pytest.mark.parametrize("fixed0, fixed1", [({0}, ()), ((), {0}),
+                                                ({1}, ()), ((), {1})],
+                             ids=["alpha0", "alpha1", "beta0", "beta1"])
+    def test_loose_end_moves_below_the_new_vertex(self, fixed0, fixed1):
+        fs = FixState(2, set(fixed0), set(fixed1))
+        state = init_state(self.gamma, fs)
+        (loose,) = state.tree.loose_ends
+        created = state.tree.created
+        index_increase_event(state, fs, FixScheduler())
+        assert state.tree.loose_ends == {loose}
+        assert loose.alive and loose.parent is state.tree.root.children[0]
+        assert state.tree.created == created + 1
+
     def test_equal_values_keep_loose_end(self):
         for kwargs in (dict(fixed0={0, 1}), dict(fixed1={0, 1})):
             state, sched = self.step(**kwargs)
@@ -274,8 +287,8 @@ def _cycle(n):
 
 
 class TestLinearWork:
-    """Machine-independent work counts: lookup and ancestor steps grow
-    linearly in n, completeness checks linearly in the number of
+    """Machine-independent work counts: allocations, lookup and ancestor
+    steps grow linearly in n, completeness checks linearly in the number of
     permutations."""
 
     @pytest.mark.parametrize("n", (200, 400, 800, 1600, 3200))
@@ -284,7 +297,7 @@ class TestLinearWork:
                    FixState(n, set(), {n // 3})):
             res, (st_,) = propagate_set_with_states([_cycle(n)], fs)
             assert res.feasible
-            assert st_.tree.created <= 6 * n + 2
+            assert st_.tree.created <= 2 * n + 3, st_.tree.created
             assert st_.tree.path_steps <= 8 * n, st_.tree.path_steps
 
     @pytest.mark.parametrize("n", (64, 128, 256, 512))
@@ -294,6 +307,21 @@ class TestLinearWork:
         res, states = propagate_set_with_states(perms, FixState(n, {1}, set()))
         assert res.feasible
         assert sum(s.checks for s in states) <= 8 * len(perms)
+
+    def test_at_most_five_vertices_per_horizon_step(self):
+        """The root and the first loose end, then at most five allocations
+        per index-increase event: a junction step builds the diamond and
+        one new loose end, any other step one vertex per loose end."""
+        rng = random.Random(515)
+        for _ in range(150):
+            n = rng.randint(2, 30)
+            g = rand_perm(rng, n)
+            perms = [g ** e for e in range(1, min(g.order(), 12))]
+            perms += [rand_perm(rng, n) for _ in range(rng.randint(1, 4))]
+            fs = rand_fixstate(rng, n, rng.random() * 0.3, rng.random() * 0.3)
+            _res, states = propagate_set_with_states(perms, fs)
+            for st_ in states:
+                assert st_.tree.created <= 5 * (st_.lex_index - 1) + 2
 
 
 def _ordered_monotone(rng, n):
