@@ -156,7 +156,10 @@ def _cmd_gen_snark(args) -> int:
         name, bp = bench.gen_snark(args.n)
     except ValueError as exc:
         raise UsageError(str(exc))
-    bench.write_instance(name, bp, args.out)
+    try:
+        bench.write_instance(name, bp, args.out)
+    except OSError as exc:
+        raise UsageError(str(exc))
     print("wrote %s (%d variables, %d rows)" % (args.out, bp.n, len(bp.rows)))
     return EXIT_OK
 
@@ -202,8 +205,11 @@ def _cmd_experiment(args) -> int:
         raise UsageError(str(exc))
     text = report.to_text()
     if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("report %s" % exc)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -8,11 +8,13 @@ handling is pure node-local propagation in one of five modes (listed below).
 turn runs the row queue, then one pass over the symmetry units, and stops
 after a pass that fixes nothing.  Row propagation is event-driven.  A
 per-solve index (:class:`_RowIndex`) maps each variable and value to the
-rows whose activity bounds that fixing tightens, and a queue rechecks only
-rows a fixing tightened.  A search child differs from its parent's
-fixpoint by its branching fixing alone, so its first queue starts from the
-rows that fixing tightens; a later turn's queue starts from the rows the
-symmetry pass's fixings tighten.
+rows whose activity bounds that fixing tightens.  A row that the fixing
+alone decides (a set-packing row when an entry goes to 1, say) is settled
+on the spot: its other terms are fixed directly, or the row is violated.
+A queue rechecks the other rows a fixing tightened.  A search child
+differs from its parent's fixpoint by its branching fixing alone, so its
+rows start from the rows that fixing tightens; a later turn's start from
+the rows the symmetry pass's fixings tighten.
 A unit of explicit permutations runs only when :func:`fixes_nothing` does
 not certify it: if both fills of the current fixings (free entries all 0,
 and all 1) are lex-leaders under the unit, every free entry takes both
@@ -272,60 +274,123 @@ class _RowIndex:
     """Per-solve row data for :func:`_row_propagate`.
 
     ``rows[r]`` is ``(terms, is_eq, rhs)``; a term is ``(entry, coeff,
-    min(coeff, 0), max(coeff, 0), |coeff|, v)``, v the entry's value at
-    min activity.  ``wake[v][i]`` lists the rows whose activity bounds
-    fixing i to v tightens: the rows whose min activity it raises (coeff
-    > 0 for v = 1, < 0 for v = 0) and the ``==`` rows whose max activity
-    it lowers (the other sign).
+    min(coeff, 0), max(coeff, 0), |coeff|, w)``, w the entry's value at
+    min activity.  A fixing of i to v tightens a row when it raises the
+    row's min activity (coeff > 0 for v = 1, < 0 for v = 0) or lowers an
+    ``==`` row's max activity (the other sign).  Each such row is listed
+    once for (i, v):
+
+    - ``settle[v][i]``, as its ``terms``, when that fixing alone decides
+      the row: every other term is then forced to its value at min
+      activity, and the row holds at that activity;
+    - ``wake[v][i]``, as its index, otherwise.
+
+    The settle test is closed-form.  With ``lo`` the min activity once i
+    is at v, the row settles when ``lo <= rhs`` (``== rhs`` for ``==``
+    rows) and raising any other term by its |coeff| would exceed the rhs:
+    ``lo + min |coeff_j| > rhs`` over j != i.  Only *exact* rows settle:
+    an integral rhs and coeffs, with sum |coeff| + |rhs| < 2**53, so every
+    partial sum is exact and ``lo`` is the pop's min activity in any order.
     """
 
-    __slots__ = ("rows", "wake")
+    __slots__ = ("rows", "wake", "settle")
 
     def __init__(self, bp: BinaryProgram):
         self.rows: List[Tuple[tuple, bool, float]] = []
-        w0: List[List[int]] = [[] for _ in range(bp.n)]
-        w1: List[List[int]] = [[] for _ in range(bp.n)]
-        self.wake = (w0, w1)
+        n = bp.n
+        self.wake = ([[] for _ in range(n)], [[] for _ in range(n)])
+        self.settle = ([[] for _ in range(n)], [[] for _ in range(n)])
+        wake, settle = self.wake, self.settle
         for r, row in enumerate(bp.rows):
-            is_eq = row.sense == "=="
-            self.rows.append((
-                tuple((i, a, min(a, 0.0), max(a, 0.0), abs(a), int(a < 0))
-                      for i, a in row.coeffs),
-                is_eq, row.rhs))
+            is_eq, rhs = row.sense == "==", row.rhs
+            # slack: rhs minus the min activity; least and second: the two
+            # smallest |coeff|.
+            terms = []
+            slack, size, exact = rhs, abs(rhs), rhs % 1 == 0
+            least = second = float("inf")
             for i, a in row.coeffs:
-                if a > 0 or (is_eq and a < 0):
-                    w1[i].append(r)
-                if a < 0 or (is_eq and a > 0):
-                    w0[i].append(r)
+                mag = abs(a)
+                if a < 0:
+                    slack += mag
+                    terms.append((i, a, a, 0.0, mag, 1))
+                else:
+                    terms.append((i, a, 0.0, a, mag, 0))
+                size += mag
+                exact = exact and mag % 1 == 0
+                if mag < second:
+                    least, second = (mag, least) if mag < least else \
+                        (least, mag)
+            terms = tuple(terms)
+            self.rows.append((terms, is_eq, rhs))
+            exact = exact and size < 2 ** 53
+            for i, a, _amin, _amax, mag, w in terms:
+                if not a:
+                    continue    # tightens nothing
+                other = second if mag == least else least
+                # At 1 - w, i raises the min activity by mag.
+                if exact and mag <= slack < mag + other and \
+                        (slack == mag or not is_eq):
+                    settle[1 - w][i].append(terms)
+                else:
+                    wake[1 - w][i].append(r)
+                if is_eq:       # at w, i lowers the max activity
+                    if exact and slack == 0 < other:
+                        settle[w][i].append(terms)
+                    else:
+                        wake[w][i].append(r)
 
 
 def _row_propagate(index: _RowIndex, fs: FixState,
                    wake: Optional[Iterable[int]] = None) -> bool:
     """Min/max-activity domain propagation; False when a row is violated.
 
-    Event-driven: a queue holds the rows to (re)check, starting with the
-    rows that the entries of ``wake``, at their values in ``fs``, tighten
-    (every row when ``wake`` is None).  A row that fixes an entry queues
-    the rows that fixing tightens.  A fixing leaves every rule of a row it
-    does not tighten as it was, so the loop ends at the same fixpoint as
-    rescanning every row until a pass changes nothing: the rules only fire
-    more as fixings grow.  The caller may seed with just the entries fixed
-    since the rows were last at a fixpoint.  A free term is forced when
-    its other value would lift the min activity above the rhs (``lo +
-    |a|``) or, in an ``==`` row, drop the max activity below it (``hi -
-    |a|``).
+    Event-driven.  A stack holds the new fixings and a queue the rows to
+    (re)check.  The stack starts with the entries of ``wake``, at their
+    values in ``fs`` (every fixed entry, and every row queued, when
+    ``wake`` is None).  Handling a fixing of i to v first walks
+    ``settle[v][i]``: each other term of such a row is fixed to its value
+    at min activity, or, when already at the other value, the row is
+    violated.  It then queues ``wake[v][i]``.  A pop that fixes entries
+    pushes them, and the stack is drained before the next pop.
+
+    A fixing leaves every rule of a row it does not tighten as it was, and
+    a settled row is fully fixed at an activity that meets it, so no rule
+    of it is pending.  The rules only fire more as fixings grow, so the
+    loop ends at the same fixpoint as rescanning every row until a pass
+    changes nothing.  The caller may seed with just the entries fixed
+    since the rows were last at a fixpoint.  A popped row's free term is
+    forced when its other value would lift the min activity above the rhs
+    (``lo + |a|``) or, in an ``==`` row, drop the max activity below it
+    (``hi - |a|``).
     """
-    rows, lists = index.rows, index.wake
+    rows, lists, settle = index.rows, index.wake, index.settle
     f0, f1 = fs.fixed0, fs.fixed1
     if wake is None:
         queue = list(range(len(rows) - 1, -1, -1))
+        queued = bytearray(b"\x01") * len(rows)
+        stack = list(f0 | f1)
     else:
-        queue = sorted({r for i in wake for r in lists[i in f1][i]},
-                       reverse=True)
-    queued = bytearray(len(rows))
-    for r in queue:
-        queued[r] = 1
-    while queue:
+        queue = []
+        queued = bytearray(len(rows))
+        stack = list(wake)
+    while True:
+        while stack:
+            i = stack.pop()
+            v = i in f1
+            for terms in settle[v][i]:
+                for j, _a, _amin, _amax, _mag, w in terms:
+                    if j in f0 or j in f1:
+                        if j != i and (j in f1) != w:
+                            return False
+                        continue
+                    (f1 if w else f0).add(j)
+                    stack.append(j)
+            for r in lists[v][i]:
+                if not queued[r]:
+                    queued[r] = 1
+                    queue.append(r)
+        if not queue:
+            return True
         r = queue.pop()
         queued[r] = 0
         terms, is_eq, rhs = rows[r]
@@ -354,11 +419,7 @@ def _row_propagate(index: _RowIndex, fs: FixState,
             else:
                 continue
             (f1 if v else f0).add(i)
-            for r2 in lists[v][i]:
-                if not queued[r2]:
-                    queued[r2] = 1
-                    queue.append(r2)
-    return True
+            stack.append(i)
 
 
 def node_propagate(

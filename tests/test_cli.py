@@ -166,6 +166,16 @@ class TestGenSnarkCommand:
                        "--out", str(tmp_path / "x.json")])
         assert rc == cli.EXIT_USAGE
 
+    # Both raised an OSError through main, which exits 1, the code for
+    # "infeasible".
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "x.json" if where == "missing-dir" \
+            else tmp_path
+        rc = cli.main(["gen-snark", "--n", "3", "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert str(out) in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_runs_grid_to_file(self, cyclic5, snark3, tmp_path, capsys):
@@ -182,6 +192,18 @@ class TestExperimentCommand:
         text = report.read_text()
         assert "runs\t4" in text
         assert "flower_snark_3\tgroup" in text
+
+    def test_unwritable_report_is_usage_error(self, cyclic5, tmp_path,
+                                              capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "instances": [cyclic5], "modes": ["nosym"],
+            "relabels": ["original"]}))
+        report = tmp_path / "missing" / "report.tsv"
+        rc = cli.main(["experiment", "--grid", str(grid),
+                       "--out", str(report)])
+        assert rc == cli.EXIT_USAGE
+        assert str(report) in capsys.readouterr().err
 
     def test_stdout_report(self, cyclic5, tmp_path, capsys):
         grid = tmp_path / "grid.json"

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -278,6 +279,80 @@ def _rand_rows_bp(rng, n):
     return simple_bp(n, rows)
 
 
+def _settled_rows(index):
+    """``index.settle`` with each row's terms replaced by the row's index."""
+    row_of = {id(terms): r for r, (terms, _eq, _rhs) in enumerate(index.rows)}
+    return tuple([[row_of[id(t)] for t in entries] for entries in lists]
+                 for lists in index.settle)
+
+
+def _index_reference(bp):
+    """``(wake, settle)`` of :class:`_RowIndex` from their definitions,
+    both as lists of row indices.
+
+    Fixing i to v tightens a row when it raises the row's min activity, or
+    lowers an '==' row's max activity.  It settles the row when the row is
+    exact and, with i at v, the row's one satisfying 0/1 completion puts
+    every other term at its value at min activity; every other tightened
+    row is woken.
+    """
+    wake = tuple([[] for _ in range(bp.n)] for _ in (0, 1))
+    settle = tuple([[] for _ in range(bp.n)] for _ in (0, 1))
+    for r, row in enumerate(bp.rows):
+        exact = all(x % 1 == 0 for x in (row.rhs,) + tuple(
+            a for _i, a in row.coeffs))
+
+        def holds(act, row=row):
+            return act == row.rhs if row.sense == "==" else act <= row.rhs
+
+        for i, a in row.coeffs:
+            others = [(j, b) for j, b in row.coeffs if j != i]
+            at_min = tuple(int(b < 0) for _j, b in others)
+            for v in (0, 1):
+                if a == 0 or (v == int(a < 0) and row.sense != "=="):
+                    continue
+                fits = [x for x in itertools.product((0, 1),
+                                                     repeat=len(others))
+                        if holds(a * v + sum(b * y for (_j, b), y in
+                                             zip(others, x)))]
+                if exact and fits == [at_min]:
+                    settle[v][i].append(r)
+                else:
+                    wake[v][i].append(r)
+    return wake, settle
+
+
+class _SettleSpy:
+    """Wraps the settle entries of an index, so that :meth:`run` tells
+    whether a settle walk fixed an entry and whether one found the row
+    violated (the run returned False in the middle of a walk)."""
+
+    def __init__(self, index):
+        self.fs = None
+        self.fixed = self.walking = self.conflict = False
+        spy = self
+
+        class Terms(tuple):
+            def __iter__(self):
+                spy.walking = True
+                for t in tuple.__iter__(self):
+                    free = not spy.fs.is_fixed(t[0])
+                    yield t
+                    spy.fixed |= free and spy.fs.is_fixed(t[0])
+                spy.walking = False
+
+        self.index = index
+        for lists in index.settle:
+            for entries in lists:
+                entries[:] = map(Terms, entries)
+
+    def run(self, fs, seed=None):
+        self.fs, self.fixed, self.walking = fs, False, False
+        ok = _row_propagate(self.index, fs, seed)
+        self.conflict = not ok and self.walking
+        return ok
+
+
 class TestRowQueue:
     """The row queue against the full-rescan loop."""
 
@@ -289,6 +364,7 @@ class TestRowQueue:
     def test_randomized_equivalence(self):
         rng = random.Random(20221)
         cases = fixing = infeasible = children = mixed = neg_eq = 0
+        settle_fixed = settle_conflict = inexact = 0
         while cases < 600:
             n = rng.randint(2, 12)
             bp = _rand_rows_bp(rng, n)
@@ -300,12 +376,19 @@ class TestRowQueue:
                     {i: (1.0, -1.0)[k % 2] for k, i in enumerate(ends)},
                     "==", 0.0))
             index = _RowIndex(bp)
+            assert (index.wake, _settled_rows(index)) == \
+                _index_reference(bp), bp
+            spy = _SettleSpy(index)
+            inexact += any(row.rhs % 1 or any(a % 1 for _i, a in row.coeffs)
+                           for row in bp.rows)
             fs = FixState(n)
             for i in rng.sample(range(n), rng.randint(0, n // 3)):
                 (fs.fixed0 if rng.random() < 0.5 else fs.fixed1).add(i)
             want = self._outcome(lambda f: _full_rescan_reference(bp, f), fs)
-            got = self._outcome(lambda f: _row_propagate(index, f), fs)
+            got = self._outcome(spy.run, fs)
             assert got == want, (bp, fs)
+            settle_fixed += spy.fixed
+            settle_conflict += spy.conflict
             cases += 1
             if not want[0]:
                 infeasible += 1
@@ -327,9 +410,10 @@ class TestRowQueue:
                      else child.fixed1).add(i)
                 want = self._outcome(
                     lambda f: _full_rescan_reference(bp, f), child)
-                got = self._outcome(
-                    lambda f: _row_propagate(index, f, seed), child)
+                got = self._outcome(lambda f: spy.run(f, seed), child)
                 assert got == want, (bp, child, seed)
+                settle_fixed += spy.fixed
+                settle_conflict += spy.conflict
                 children += 1
                 mixed += bool(child.fixed0 & set(seed)) and \
                     bool(child.fixed1 & set(seed))
@@ -339,40 +423,85 @@ class TestRowQueue:
         # mixed-value seeds and seeds in '==' rows with negative coeffs.
         assert fixing >= 150 and infeasible >= 100 and children >= 250
         assert mixed >= 120 and neg_eq >= 80, (mixed, neg_eq)
+        # ... and settle walks that fix entries or find a conflict, and
+        # programs with a row that is not exact, which never settles.
+        assert settle_fixed >= 60 and settle_conflict >= 5, \
+            (settle_fixed, settle_conflict)
+        assert inexact >= 400, inexact
+
+        # The rows of a flower snark settle; halved, every coeff is 0.5, no
+        # row is exact, none settles, and the queue alone reaches the same
+        # fixpoints.
+        _, bp = gen_snark(3)
+        half = simple_bp(bp.n, [
+            Row.make({i: a * 0.5 for i, a in row.coeffs}, row.sense,
+                     row.rhs * 0.5) for row in bp.rows])
+        index, index_half = _RowIndex(bp), _RowIndex(half)
+        assert any(index.settle[1])
+        assert not any(any(lists) for lists in index_half.settle)
+        rng = random.Random(20222)
+        feasible = 0
+        for _ in range(200):
+            p = rng.uniform(0.0, 0.1)
+            fs = rand_fixstate(rng, bp.n, p, p)
+            # The fixpoint, then a child of it seeded with one fixing.
+            for seed in (None, (rng.randrange(bp.n),)):
+                if seed is not None:
+                    if not want[0] or seed[0] in want[1] | want[2]:
+                        break
+                    fs = FixState(bp.n, want[1], want[2])
+                    (fs.fixed1 if rng.random() < 0.5 else fs.fixed0).add(
+                        seed[0])
+                want = self._outcome(
+                    lambda f: _full_rescan_reference(bp, f), fs)
+                for ix in (index, index_half):
+                    assert self._outcome(
+                        lambda f: _row_propagate(ix, f, seed), fs) == want
+                feasible += want[0]
+        assert feasible >= 100
 
     def test_child_seed_wakes_only_the_branching_rows(self):
         bp = simple_bp(4, [Row.make({0: 1.0, 1: 1.0}, "<=", 1.0),
                            Row.make({2: 1.0, 3: 1.0}, "<=", 1.0)])
         index = _RowIndex(bp)
-        assert index.wake == ([[], [], [], []], [[0], [0], [1], [1]])
-        # x2 = 1 is not a fixpoint of row 1, but only x0's rows are woken.
+        # A 1-fixing settles its packing row: no row is left to wake.
+        row0, row1 = index.rows[0][0], index.rows[1][0]
+        assert index.wake == ([[], [], [], []], [[], [], [], []])
+        assert index.settle == ([[], [], [], []],
+                                [[row0], [row0], [row1], [row1]])
+        # x2 = 1 is not a fixpoint of row 1, but only x0's rows are settled.
         fs = FixState(4, set(), {0, 2})
         assert _row_propagate(index, fs, (0,))
         assert fs.fixed0 == {1}
         assert _row_propagate(index, fs)
         assert fs.fixed0 == {1, 3}
 
-    # A row over x0, x1, x2 with one coefficient, and whether fixing x0 to
-    # 0 and to 1 queues it.
-    @pytest.mark.parametrize("sense, coeff, rhs, wakes", [
-        ("<=", 1.0, 1.0, (False, True)),
-        ("<=", -1.0, -2.0, (True, False)),
-        ("==", 1.0, 1.0, (True, True)),
-        ("==", -1.0, -1.0, (True, True)),
+    # A row over x0, x1, x2 with one coefficient, whether fixing x0 to 0
+    # and to 1 tightens it, and whether that fixing alone settles it.  A
+    # tightened row is settled or queued, never both.
+    @pytest.mark.parametrize("sense, coeff, rhs, tightens, settles", [
+        ("<=", 1.0, 1.0, (False, True), (False, True)),
+        ("<=", -1.0, -2.0, (True, False), (True, False)),
+        ("==", 1.0, 1.0, (True, True), (False, True)),
+        ("==", -1.0, -1.0, (True, True), (False, False)),
     ], ids=["le-pos", "le-neg", "eq-pos", "eq-neg"])
     def test_a_fixing_queues_the_rows_it_tightens(self, sense, coeff, rhs,
-                                                   wakes):
+                                                   tightens, settles):
         index = _RowIndex(simple_bp(3, [
             Row.make({0: coeff, 1: coeff, 2: coeff}, sense, rhs)]))
+        terms = index.rows[0][0]
         for v in (0, 1):
-            assert index.wake[v][0] == ([0] if wakes[v] else [])
+            queued = tightens[v] and not settles[v]
+            assert index.wake[v][0] == ([0] if queued else [])
+            assert index.settle[v][0] == ([terms] if settles[v] else [])
             # x0 = v and x1 = 1 - v make the row force x2 in every case,
-            # but seeded with x0 alone it does so only when it is queued.
+            # but seeded with x0 alone it does so only when it is settled
+            # or queued.
             fs = FixState(3)
             (fs.fixed1 if v else fs.fixed0).add(0)
             (fs.fixed0 if v else fs.fixed1).add(1)
             assert _row_propagate(index, fs, (0,))
-            assert fs.is_fixed(2) == wakes[v], (sense, coeff, v)
+            assert fs.is_fixed(2) == tightens[v], (sense, coeff, v)
             assert _row_propagate(index, fs)
             assert fs.is_fixed(2)
 
