@@ -164,6 +164,21 @@ def _cmd_gen_snark(args) -> int:
     return EXIT_OK
 
 
+def _check_report_path(path: str) -> None:
+    """Fail before the grid runs when the report cannot be written to path.
+
+    Opens nothing, so an existing report is not truncated.
+    """
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise UsageError("report %s: is a directory" % path)
+    if not os.path.isdir(folder):
+        raise UsageError("report %s: no directory %s" % (path, folder))
+    if not os.access(folder, os.W_OK) or \
+            (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise UsageError("report %s: not writable" % path)
+
+
 def _cmd_experiment(args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
@@ -192,6 +207,8 @@ def _cmd_experiment(args) -> int:
     if limit is not None and (isinstance(limit, bool)
                               or not isinstance(limit, (int, float))):
         raise UsageError("grid: 'time_limit' is neither a number nor null")
+    if args.out and args.out != "-":
+        _check_report_path(args.out)
     instances = [_load_instance(p) for p in grid["instances"]]
     try:
         report = bench.run_experiment(

@@ -10,21 +10,27 @@ horizon, all minimal conjunctions of fixings that either force x < g(x) on
 the horizon (necessary vertices, whose converse fixing is therefore implied)
 or still allow equality on the horizon (loose ends).  Entries are 0-based.
 
-The tree has at most one junction, so every rooted path is the trunk plus
-at most one branch.  Two per-vertex caches replace the walks to the root
-that made one permutation cost Theta(n^2):
+A vertex is an int id into parallel lists on the tree (``kind``, ``entry``,
+``value``, ``parent``, ``alive``, ``branch``, ``cond`` and the child slots
+``first`` and ``second``; -1 is none).  Vertex 0 is the root, and
+``tree.created`` is the lists' length.  Links are ids, so a tree holds no
+reference cycle: refcounting frees it when its call returns, and a copy is
+one slice per list.  At most one vertex, the junction, has two children, so
+every rooted path is the trunk plus at most one branch.  Two per-vertex
+caches replace the walks to the root that made one permutation cost
+Theta(n^2):
 
-- ``branch`` tags a vertex with the junction child it hangs under, or None
-  on the trunk.  The value of an entry as seen from a loose end is then the
+- ``branch`` is the junction child a vertex hangs under, or -1 on the
+  trunk.  The value of an entry as seen from a loose end is then the
   fixings, else the one vertex of ``entry_map[entry]`` on the trunk or on
   the loose end's branch: O(1), no walk.  When the junction dissolves (a
   branch head is removed or spliced out, or a collapse re-hangs the
   sibling), the surviving branch moves to the trunk; a vertex moves at most
   once, so the moves cost O(1) amortized per vertex.
-- ``cond`` points at the nearest conditional ancestor as it was when the
-  pointer was set.  Ancestors only die or turn necessary, each at most
-  once, and never appear, so :func:`first_conditional_ancestor` resolves
-  the pointer past such vertices and compresses the path it followed.
+- ``cond`` is the nearest conditional ancestor as it was when it was set.
+  Ancestors only die or turn necessary, each at most once, and never
+  appear, so :func:`first_conditional_ancestor` resolves the pointer past
+  such vertices and compresses the path it followed.
 
 A horizon step keeps its loose ends: one that gains a fixing vertex moves
 below it, and a junction step moves it below the first branch and allocates
@@ -32,9 +38,8 @@ a loose end only for the second.  ``tree.created`` therefore counts real
 allocations, at most 5 per step and 2n+3 on a monotone n-cycle;
 :func:`propagate_set_raw` still checks the paper's bound of 6n+2.
 
-``tree.path_steps`` counts the entry-map candidates read, the pointers
-followed and the vertices moved to the trunk; ``state.checks`` counts
-completeness checks.  Both are plain counters for tests and reports.
+``tree.path_steps`` counts entry-map candidates read, pointers followed and
+vertices moved to the trunk; ``state.checks`` counts completeness checks.
 """
 
 from __future__ import annotations
@@ -62,60 +67,59 @@ class InternalLogicError(AssertionError):
     """A structural invariant of the propagation engine was violated."""
 
 
-class Vertex(object):
-    __slots__ = ("kind", "entry", "value", "parent", "children", "alive",
-                 "branch", "cond")
-
-    def __init__(self, kind, entry, value, parent):
-        self.kind = kind
-        self.entry = entry
-        self.value = value
-        self.parent = parent
-        self.children = []
-        self.alive = True
-        if parent is None:
-            self.branch = self.cond = None
-        else:
-            self.branch = parent.branch
-            self.cond = parent if parent.kind == CONDITIONAL else parent.cond
-
-    def __repr__(self):
-        if self.kind in (CONDITIONAL, NECESSARY):
-            return "<%s (%d,%d)>" % (_KIND_NAMES[self.kind], self.entry,
-                                     self.value)
-        return "<%s>" % _KIND_NAMES[self.kind]
-
-
 class ImplicationTree(object):
     """Rooted tree of conditional / necessary / loose-end vertices.
 
+    Vertices are ids into the per-vertex lists (see the module docstring).
     ``entry_map`` maps an entry to the live fixing vertices carrying it (at
-    most one per branch); ``created`` counts every vertex ever allocated,
-    which the caller checks against the linear work bound, and
-    ``path_steps`` the lookup, ancestor and retagging steps.
+    most one per branch); the caller checks ``created`` against the linear
+    work bound.
     """
 
-    __slots__ = ("root", "loose_ends", "entry_map", "infeasible", "created",
-                 "path_steps")
+    __slots__ = ("kind", "entry", "value", "parent", "alive", "branch",
+                 "cond", "first", "second", "loose_ends", "entry_map",
+                 "infeasible", "path_steps")
 
     def __init__(self):
-        self.root = Vertex(ROOT, -1, -1, None)
-        self.loose_ends = set()
-        self.entry_map = {}
-        self.infeasible = False
-        self.created = 1
-        self.path_steps = 0
-        first = Vertex(LOOSE_END, -1, -1, self.root)
-        self.root.children.append(first)
-        self.loose_ends.add(first)
-        self.created += 1
+        # vertex 0 is the root, vertex 1 its loose end
+        self.kind, self.parent = [ROOT, LOOSE_END], [-1, 0]
+        self.first, self.second = [1, -1], [-1, -1]
+        self.entry, self.value, self.alive = [-1, -1], [-1, -1], [True, True]
+        self.branch, self.cond = [-1, -1], [-1, -1]
+        self.loose_ends, self.entry_map = {1}, {}
+        self.infeasible, self.path_steps = False, 0
 
-    # -- allocation and removal -------------------------------------------
+    @property
+    def created(self):
+        return len(self.kind)
 
-    def new_vertex(self, kind, entry, value, parent):
-        v = Vertex(kind, entry, value, parent)
-        parent.children.append(v)
-        self.created += 1
+    def children(self, v):
+        return [c for c in (self.first[v], self.second[v]) if c >= 0]
+
+    def new_vertex(self, kind, entry, value, parent, loose=-1):
+        """Allocate a vertex in parent's first free child slot, or in the
+        slot of its loose-end child ``loose``, which then moves below it."""
+        kinds, branch, cond = self.kind, self.branch, self.cond
+        v = len(kinds)
+        kinds.append(kind)
+        self.entry.append(entry)
+        self.value.append(value)
+        self.parent.append(parent)
+        self.alive.append(True)
+        b = branch[parent]
+        branch.append(b)
+        c = parent if kinds[parent] == CONDITIONAL else cond[parent]
+        cond.append(c)
+        self.first.append(loose)
+        self.second.append(-1)
+        if self.first[parent] == loose:
+            self.first[parent] = v
+        else:
+            self.second[parent] = v
+        if loose >= 0:
+            self.parent[loose] = v
+            branch[loose] = b
+            cond[loose] = v if kind == CONDITIONAL else c
         if kind == LOOSE_END:
             self.loose_ends.add(v)
         else:
@@ -123,13 +127,18 @@ class ImplicationTree(object):
         return v
 
     def _unregister(self, v):
-        v.alive = False
-        if v.kind == LOOSE_END:
+        self.alive[v] = False
+        if self.kind[v] == LOOSE_END:
             self.loose_ends.discard(v)
-        elif v.kind in (CONDITIONAL, NECESSARY):
-            lst = self.entry_map.get(v.entry)
-            if lst is not None and v in lst:
-                lst.remove(v)
+        elif v in self.entry_map.get(self.entry[v], ()):
+            self.entry_map[self.entry[v]].remove(v)
+
+    def _detach(self, v):
+        """Take child v out of its parent's slots, keeping their order."""
+        p = self.parent[v]
+        if self.first[p] == v:
+            self.first[p] = self.second[p]
+        self.second[p] = -1
 
     def remove_subtree(self, v):
         """Remove v and all its descendants from the tree.
@@ -137,32 +146,40 @@ class ImplicationTree(object):
         Removing a branch head dissolves the junction: what hangs there
         still moves to the trunk.
         """
-        parent = v.parent
-        if parent is not None and v in parent.children:
-            parent.children.remove(v)
-            if v.branch is v:
-                for c in parent.children:
-                    self.to_trunk(c)
+        first, second = self.first, self.second
+        p = self.parent[v]
+        if v == first[p] or v == second[p]:
+            self._detach(v)
+            if self.branch[v] == v and first[p] >= 0:
+                self.to_trunk(first[p])
         stack = [v]
         while stack:
             w = stack.pop()
             self._unregister(w)
-            stack.extend(w.children)
-            w.children = []
+            stack.extend(self.children(w))
+            first[w] = second[w] = -1
 
     def remove_descendants(self, v):
-        children, v.children = v.children, []
+        children = self.children(v)
+        self.first[v] = self.second[v] = -1
         for c in children:
             self.remove_subtree(c)
 
     def splice_out(self, v):
         """Remove v, reattaching its children to v's parent in place."""
-        parent = v.parent
-        idx = parent.children.index(v)
-        parent.children[idx:idx + 1] = v.children
-        for c in v.children:
-            c.parent = parent
-        v.children = []
+        first, second, parent = self.first, self.second, self.parent
+        p, c, d = parent[v], first[v], second[v]
+        for w in self.children(v):
+            parent[w] = p
+        if c < 0:
+            self._detach(v)
+        elif first[p] == v:
+            first[p] = c
+            if d >= 0:                    # v was the junction
+                second[p] = d
+        else:                             # v heads p's second branch
+            second[p] = c
+        first[v] = second[v] = -1
         self._unregister(v)
 
     def to_trunk(self, v):
@@ -171,15 +188,15 @@ class ImplicationTree(object):
         while stack:
             w = stack.pop()
             self.path_steps += 1
-            w.branch = None
-            stack.extend(w.children)
+            self.branch[w] = -1
+            stack.extend(self.children(w))
 
     def sibling_of(self, v):
-        parent = v.parent
-        if parent is None or len(parent.children) != 2:
-            return None
-        a, b = parent.children
-        return b if a is v else a
+        p = self.parent[v]
+        if p < 0 or self.second[p] < 0:
+            return -1
+        a = self.first[p]
+        return self.second[p] if a == v else a
 
 
 class PermPropState(object):
@@ -239,42 +256,37 @@ def init_state(perm, fixings):
 
 
 def first_conditional_ancestor(tree, v):
-    """Nearest live conditional ancestor of v, or None.
+    """Nearest live conditional ancestor of v, or -1.
 
     Follows the cached ``cond`` pointers past vertices that died or turned
     necessary, then points every vertex it passed at the answer.
     """
-    u = v.cond
-    while u is not None and (u.kind != CONDITIONAL or not u.alive):
+    cond, kind, alive = tree.cond, tree.kind, tree.alive
+    u = cond[v]
+    while u >= 0 and (kind[u] != CONDITIONAL or not alive[u]):
         tree.path_steps += 1
-        u = u.cond
+        u = cond[u]
     w = v
-    while w.cond is not u:
-        w.cond, w = u, w.cond
+    while cond[w] != u:
+        cond[w], w = u, cond[w]
     return u
 
 
+def _tree_value(tree, e, branch):
+    """Value of e's vertex on the trunk or on ``branch``, else None."""
+    for u in tree.entry_map.get(e, ()):
+        tree.path_steps += 1
+        b = tree.branch[u]
+        if b < 0 or b == branch:
+            return tree.value[u]
+    return None
+
+
 def _h_pair(tree, fix0, fix1, ei, ej, loose):
-    """h for two entries in O(1): the fixings, else the one vertex of
-    ``entry_map`` that carries the entry on the trunk or on the loose end's
-    branch, else blank."""
-    branch = loose.branch
-    emap = tree.entry_map
-    va = 0 if ei in fix0 else (1 if ei in fix1 else None)
-    vb = 0 if ej in fix0 else (1 if ej in fix1 else None)
-    if va is None:
-        for u in emap.get(ei, ()):
-            tree.path_steps += 1
-            if u.branch is None or u.branch is branch:
-                va = u.value
-                break
-    if vb is None:
-        for u in emap.get(ej, ()):
-            tree.path_steps += 1
-            if u.branch is None or u.branch is branch:
-                vb = u.value
-                break
-    return va, vb
+    """h for two entries in O(1): the fixings, else the tree's value of the
+    entry as seen from the loose end, else blank."""
+    return tuple(0 if e in fix0 else 1 if e in fix1 else
+                 _tree_value(tree, e, tree.branch[loose]) for e in (ei, ej))
 
 
 def _collapse_to_necessary(tree, u):
@@ -287,34 +299,26 @@ def _collapse_to_necessary(tree, u):
     """
     sib = tree.sibling_of(u)
     tree.remove_descendants(u)
-    u.kind = NECESSARY
-    u.value = 1 - u.value
-    if sib is not None and sib.alive:
-        if sib.kind != CONDITIONAL or len(sib.children) != 1:
+    tree.kind[u] = NECESSARY
+    tree.value[u] = 1 - tree.value[u]
+    if sib >= 0 and tree.alive[sib]:
+        x = tree.first[sib]
+        if tree.kind[sib] != CONDITIONAL or x < 0 or tree.second[sib] >= 0:
             raise InternalLogicError("diamond sibling has unexpected shape")
-        x = sib.children[0]
-        if x.kind != NECESSARY or x.entry != u.entry or x.value != u.value:
+        if tree.kind[x] != NECESSARY or tree.entry[x] != tree.entry[u] or \
+                tree.value[x] != tree.value[u]:
             raise InternalLogicError("diamond pairing broken at merge")
         tree.splice_out(x)
-        sib.parent.children.remove(sib)
-        sib.parent = u
-        u.children.append(sib)
+        tree._detach(sib)
+        tree.parent[sib] = u
+        tree.first[u] = sib
         tree.to_trunk(u)                  # the junction is gone
 
 
 def _push_root_fixings(tree, sched):
-    for c in tree.root.children:
-        if c.kind == NECESSARY:
-            sched.push(c.entry, c.value)
-
-
-def _hang_below(loose, w):
-    """Move a loose end from its old place to hang below the new vertex w;
-    it stays registered in ``tree.loose_ends``."""
-    loose.parent = w
-    w.children.append(loose)
-    loose.branch = w.branch
-    loose.cond = w if w.kind == CONDITIONAL else w.cond
+    for c in (tree.first[0], tree.second[0]):
+        if c >= 0 and tree.kind[c] == NECESSARY:
+            sched.push(tree.entry[c], tree.value[c])
 
 
 def index_increase_event(state, fixings, sched, touched=None):
@@ -327,52 +331,46 @@ def index_increase_event(state, fixings, sched, touched=None):
     when there is none.
     """
     tree = state.tree
-    fix0, fix1 = fixings.fixed0, fixings.fixed1
     p = state.lex_index - 1
     state.lex_index += 1
-    ei = p
-    ej = state.inv[p]
+    ei, ej = p, state.inv[p]
     if ei == ej:
         return
     if touched is not None:
-        touched.add(ei)
-        touched.add(ej)
+        touched.update((ei, ej))
+    fix0, fix1 = fixings.fixed0, fixings.fixed1
+    fa = 0 if ei in fix0 else (1 if ei in fix1 else None)
+    fb = 0 if ej in fix0 else (1 if ej in fix1 else None)
+    alive, branch, parent = tree.alive, tree.branch, tree.parent
+    new_vertex = tree.new_vertex
     for v in list(tree.loose_ends):
-        if not v.alive:
+        if not alive[v]:
             continue
-        a, b = _h_pair(tree, fix0, fix1, ei, ej, v)
-        if a == 0 and b == 1:
+        a = fa if fa is not None else _tree_value(tree, ei, branch[v])
+        b = fb if fb is not None else _tree_value(tree, ej, branch[v])
+        if a is None and b is None:
+            if branch[parent[v]] >= 0:
+                raise InternalLogicError("second junction")
+            c1 = new_vertex(CONDITIONAL, ei, 0, parent[v], v)
+            branch[c1] = c1
+            new_vertex(NECESSARY, ej, 0, c1, v)
+            c2 = new_vertex(CONDITIONAL, ej, 1, parent[c1])
+            branch[c2] = c2
+            n2 = new_vertex(NECESSARY, ei, 1, c2)
+            new_vertex(LOOSE_END, -1, -1, n2)
+        elif a is None:                   # necessary x_i = 1 when x_j = 1
+            new_vertex(NECESSARY if b else CONDITIONAL, ei, b, parent[v], v)
+        elif b is None:                   # necessary x_j = 0 when x_i = 0
+            new_vertex(CONDITIONAL if a else NECESSARY, ej, a, parent[v], v)
+        elif a == 1 and b == 0:
+            tree.remove_subtree(v)        # equality impossible, branch dies
+        elif a == 0 and b == 1:
             u = first_conditional_ancestor(tree, v)
-            if u is None:
+            if u < 0:
                 tree.infeasible = True
                 return
             _collapse_to_necessary(tree, u)
-            continue
-        if (a, b) in ((0, 0), (1, 1)):
-            continue                      # loose end survives unchanged
-        if a == 1 and b == 0:
-            tree.remove_subtree(v)        # equality impossible, branch dies
-            continue
-        parent = v.parent
-        parent.children.remove(v)
-        if a is None and b is None:
-            if parent.branch is not None:
-                raise InternalLogicError("second junction")
-            c1 = tree.new_vertex(CONDITIONAL, ei, 0, parent)
-            c1.branch = c1
-            _hang_below(v, tree.new_vertex(NECESSARY, ej, 0, c1))
-            c2 = tree.new_vertex(CONDITIONAL, ej, 1, parent)
-            c2.branch = c2
-            n2 = tree.new_vertex(NECESSARY, ei, 1, c2)
-            tree.new_vertex(LOOSE_END, -1, -1, n2)
-        elif a == 0:                      # b is None
-            _hang_below(v, tree.new_vertex(NECESSARY, ej, 0, parent))
-        elif a == 1:                      # b is None
-            _hang_below(v, tree.new_vertex(CONDITIONAL, ej, 1, parent))
-        elif b == 0:                      # a is None
-            _hang_below(v, tree.new_vertex(CONDITIONAL, ei, 0, parent))
-        else:                             # a is None, b == 1
-            _hang_below(v, tree.new_vertex(NECESSARY, ei, 1, parent))
+        # equal values: the loose end survives unchanged
     _push_root_fixings(tree, sched)
 
 
@@ -386,22 +384,23 @@ def variable_fixing_event(state, fixings_after, fixing, sched):
     entry, value = fixing
     if tree.infeasible:
         return
+    alive = tree.alive
     for v in list(tree.entry_map.get(entry, ())):
-        if not v.alive:
+        if not alive[v]:
             continue
-        if v.value == value:
+        if tree.value[v] == value:
             # The fixing matches the vertex: its condition is met / its
             # implication discharged.  Splice it out; a sibling branch
             # hinged on the opposite condition and dies.
             sib = tree.sibling_of(v)
             tree.splice_out(v)
-            if sib is not None and sib.alive:
+            if sib >= 0 and alive[sib]:
                 tree.remove_subtree(sib)
-        elif v.kind == CONDITIONAL:
+        elif tree.kind[v] == CONDITIONAL:
             tree.remove_subtree(v)
         else:
             u = first_conditional_ancestor(tree, v)
-            if u is None:
+            if u < 0:
                 tree.infeasible = True
                 return
             _collapse_to_necessary(tree, u)
@@ -414,12 +413,13 @@ def completeness_check(state, fixings, touched=None):
     Callers must drain pending fixings first so the root has no necessary
     child.  The three sufficient conditions: no loose end; horizon past n;
     or every loose-end path is guarded by a conditional vertex while the new
-    position and its preimage cannot produce one.
+    position and its preimage cannot produce one.  The O(1) position tests
+    of the last condition run before its per-loose-end ancestor lookups.
     """
     tree = state.tree
     state.checks += 1
-    for c in tree.root.children:
-        if c.kind == NECESSARY:
+    for c in (tree.first[0], tree.second[0]):
+        if c >= 0 and tree.kind[c] == NECESSARY:
             raise InternalLogicError(
                 "completeness_check with undrained root fixing")
     if not tree.loose_ends:
@@ -429,15 +429,13 @@ def completeness_check(state, fixings, touched=None):
     p = state.lex_index - 1
     q = state.inv[p]
     if touched is not None:
-        touched.add(p)
-        touched.add(q)
+        touched.update((p, q))
+    if p in fixings.fixed0 or q in fixings.fixed1 or \
+            state.image[p] <= p or q <= p:
+        return False
     for v in tree.loose_ends:
-        if first_conditional_ancestor(tree, v) is None:
+        if first_conditional_ancestor(tree, v) < 0:
             return False
-    if p in fixings.fixed0 or q in fixings.fixed1:
-        return False
-    if state.image[p] <= p or q <= p:
-        return False
     return True
 
 
@@ -456,23 +454,26 @@ def check_tree_invariants(state, fixings):
     if tree.infeasible:
         return
     fix0, fix1 = fixings.fixed0, fixings.fixed1
+    kind, entry, value = tree.kind, tree.entry, tree.value
     junctions = []
     seen_loose = set()
-    stack = [(tree.root, {}, None, None)]
+    stack = [(0, {}, -1, -1)]
     while stack:
         v, path, branch, cond = stack.pop()
-        if not v.alive and v is not tree.root:
+        kids = tree.children(v)
+        if not tree.alive[v]:
             raise InternalLogicError("dead vertex still linked")
-        for c in v.children:
-            if c.parent is not v:
+        if tree.first[v] < 0 <= tree.second[v]:
+            raise InternalLogicError("second child slot without a first")
+        for c in kids:
+            if tree.parent[c] != v:
                 raise InternalLogicError("broken parent link")
-        if v.branch is not branch:
-            raise InternalLogicError("stale branch tag on %r" % (v,))
-        if v is not tree.root and first_conditional_ancestor(tree, v) \
-                is not cond:
-            raise InternalLogicError("stale conditional ancestor of %r" % (v,))
-        if v.kind == LOOSE_END:
-            if v.children:
+        if tree.branch[v] != branch:
+            raise InternalLogicError("stale branch tag on vertex %d" % v)
+        if v and first_conditional_ancestor(tree, v) != cond:
+            raise InternalLogicError("stale conditional ancestor of %d" % v)
+        if kind[v] == LOOSE_END:
+            if kids:
                 raise InternalLogicError("loose end is not a leaf")
             seen_loose.add(v)
             expected = set()
@@ -491,37 +492,34 @@ def check_tree_invariants(state, fixings):
                 walked = 0 if e in fix0 else 1 if e in fix1 else path.get(e)
                 if _h_pair(tree, fix0, fix1, e, e, v)[0] != walked:
                     raise InternalLogicError("h lookup of entry %d" % e)
-        if len(v.children) >= 2:
+        if len(kids) == 2:
             junctions.append(v)
-        if v.kind in (CONDITIONAL, NECESSARY):
-            if v.entry in path:
+        if kind[v] in (CONDITIONAL, NECESSARY):
+            if entry[v] in path:
                 raise InternalLogicError("duplicate entry on rooted path")
-            if v.entry in fix0 or v.entry in fix1:
+            if entry[v] in fix0 or entry[v] in fix1:
                 raise InternalLogicError("fixed entry on rooted path")
             path = dict(path)
-            path[v.entry] = v.value
-        if v.kind == CONDITIONAL:
+            path[entry[v]] = value[v]
+        if kind[v] == CONDITIONAL:
             cond = v
-        for c in v.children:
-            stack.append((c, path, c if len(v.children) >= 2 else branch,
-                          cond))
+        for c in kids:
+            stack.append((c, path, c if len(kids) == 2 else branch, cond))
     if len(junctions) > 1:
         raise InternalLogicError("more than one junction vertex")
     for j in junctions:
-        if len(j.children) != 2:
-            raise InternalLogicError("junction outdegree > 2")
-        u1, u2 = j.children
-        if u1.kind != CONDITIONAL or u2.kind != CONDITIONAL:
+        u1, u2 = tree.children(j)
+        if kind[u1] != CONDITIONAL or kind[u2] != CONDITIONAL:
             raise InternalLogicError("junction child not conditional")
-        if u1.entry == u2.entry:
+        if entry[u1] == entry[u2]:
             raise InternalLogicError("diamond entries not distinct")
         for ua, ub in ((u1, u2), (u2, u1)):
-            if len(ua.children) != 1:
+            w = tree.first[ua]
+            if w < 0 or tree.second[ua] >= 0:
                 raise InternalLogicError("diamond child outdegree != 1")
-            w = ua.children[0]
-            if w.kind != NECESSARY:
+            if kind[w] != NECESSARY:
                 raise InternalLogicError("diamond grandchild not necessary")
-            if w.entry != ub.entry or w.value != 1 - ub.value:
+            if entry[w] != entry[ub] or value[w] != 1 - value[ub]:
                 raise InternalLogicError("diamond converse pairing broken")
     if seen_loose != tree.loose_ends:
         raise InternalLogicError("loose-end registry out of sync")
@@ -593,7 +591,7 @@ def propagate_set_raw(perms, fix0, fix1, n,
                 check_tree_invariants(st, fs)
             if sched.contradiction:
                 return False, fix0, fix1, states
-            if not drain():
+            if sched.stack and not drain():
                 return False, fix0, fix1, states
         # New fixings can demote a dirty permutation from complete back to
         # pending (its next position may have become fixed); re-queue.
@@ -663,9 +661,9 @@ def tree_shape(tree: ImplicationTree) -> list:
     """
 
     def render(v):
-        label = _KIND_NAMES[v.kind]
-        if v.kind in (CONDITIONAL, NECESSARY):
-            label = "%s(%d,%d)" % (label, v.entry + 1, v.value)
-        return [label] + [render(c) for c in v.children]
+        label = _KIND_NAMES[tree.kind[v]]
+        if tree.kind[v] in (CONDITIONAL, NECESSARY):
+            label = "%s(%d,%d)" % (label, tree.entry[v] + 1, tree.value[v])
+        return [label] + [render(c) for c in tree.children(v)]
 
-    return render(tree.root)
+    return render(0)

@@ -205,6 +205,37 @@ class TestExperimentCommand:
         assert rc == cli.EXIT_USAGE
         assert str(report) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_unwritable_report_fails_before_the_grid_runs(
+            self, cyclic5, tmp_path, capsys, monkeypatch, where):
+        def run_experiment(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli.bench, "run_experiment", run_experiment)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"instances": [cyclic5]}))
+        report = tmp_path / "missing" / "report.tsv" \
+            if where == "missing-dir" else tmp_path
+        rc = cli.main(["experiment", "--grid", str(grid),
+                       "--out", str(report)])
+        assert rc == cli.EXIT_USAGE
+        assert str(report) in capsys.readouterr().err
+
+    def test_report_check_keeps_an_existing_report(self, cyclic5, tmp_path,
+                                                   monkeypatch):
+        def run_experiment(*args, **kwargs):
+            raise ValueError("grid failed")
+
+        monkeypatch.setattr(cli.bench, "run_experiment", run_experiment)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"instances": [cyclic5]}))
+        report = tmp_path / "report.tsv"
+        report.write_text("earlier report\n")
+        rc = cli.main(["experiment", "--grid", str(grid),
+                       "--out", str(report)])
+        assert rc == cli.EXIT_USAGE
+        assert report.read_text() == "earlier report\n"
+
     def test_stdout_report(self, cyclic5, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 
@@ -96,8 +97,9 @@ class TestSingleStepEvents:
         (loose,) = state.tree.loose_ends
         created = state.tree.created
         index_increase_event(state, fs, FixScheduler())
-        assert state.tree.loose_ends == {loose}
-        assert loose.alive and loose.parent is state.tree.root.children[0]
+        tree = state.tree
+        assert tree.loose_ends == {loose}
+        assert tree.alive[loose] and tree.parent[loose] == tree.children(0)[0]
         assert state.tree.created == created + 1
 
     def test_equal_values_keep_loose_end(self):
@@ -308,6 +310,27 @@ class TestLinearWork:
         assert res.feasible
         assert sum(s.checks for s in states) <= 8 * len(perms)
 
+    def test_no_cyclic_garbage(self):
+        """Vertices link by id, so refcounting frees every tree when its
+        call returns and the cyclic collector finds nothing left over."""
+        n = 400
+        cycle = _cycle(n)
+        powers = [cycle ** k for k in range(1, 61)]
+        rng = random.Random(400)
+        gc.collect()
+        gc.disable()
+        try:
+            for perms in ([cycle], powers):
+                for count in range(3):
+                    fs = FixState(n)
+                    for i in rng.sample(range(n), count):
+                        (fs.fixed0 if rng.random() < 0.5 else
+                         fs.fixed1).add(i)
+                    propagate_set(perms, fs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_at_most_five_vertices_per_horizon_step(self):
         """The root and the first loose end, then at most five allocations
         per index-increase event: a junction step builds the diamond and
@@ -350,18 +373,18 @@ def test_structural_invariants_on_monotone_groups(monkeypatch):
     splice_out = imptree.ImplicationTree.splice_out
     collapse = imptree._collapse_to_necessary
 
-    def counted_new_vertex(tree, kind, entry, value, parent):
-        v = new_vertex(tree, kind, entry, value, parent)
+    def counted_new_vertex(tree, kind, entry, value, parent, loose=-1):
+        v = new_vertex(tree, kind, entry, value, parent, loose)
         tally["diamond"] += kind == imptree.CONDITIONAL and \
-            len(parent.children) == 2
+            len(tree.children(parent)) == 2
         return v
 
     def counted_splice_out(tree, v):
-        tally["head"] += v.branch is v
+        tally["head"] += tree.branch[v] == v
         return splice_out(tree, v)
 
     def counted_collapse(tree, u):
-        tally["merge"] += tree.sibling_of(u) is not None
+        tally["merge"] += tree.sibling_of(u) >= 0
         return collapse(tree, u)
 
     tree_cls = imptree.ImplicationTree
