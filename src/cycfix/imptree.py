@@ -16,9 +16,14 @@ A vertex is an int id into parallel lists on the tree (``kind``, ``entry``,
 ``tree.created`` is the lists' length.  Links are ids, so a tree holds no
 reference cycle: refcounting frees it when its call returns, and a copy is
 one slice per list.  At most one vertex, the junction, has two children, so
-every rooted path is the trunk plus at most one branch.  Two per-vertex
-caches replace the walks to the root that made one permutation cost
-Theta(n^2):
+every rooted path is the trunk plus at most one branch.  Under
+:func:`propagate_set_raw` only the root can be the junction.  A diamond
+forms only where both entries of a step are blank on a loose end's path.  A
+lone loose end guarded by a conditional is complete before that can happen,
+and an unguarded loose end's path holds only necessary vertices, which the
+driver drains as each reaches the root; so the loose end hangs directly
+under the root.  Two per-vertex caches replace the walks to the root that
+made one permutation cost Theta(n^2):
 
 - ``branch`` is the junction child a vertex hangs under, or -1 on the
   trunk.  The value of an entry as seen from a loose end is then the
@@ -321,7 +326,7 @@ def _push_root_fixings(tree, sched):
             sched.push(tree.entry[c], tree.value[c])
 
 
-def index_increase_event(state, fixings, sched, touched=None):
+def index_increase_event(state, fixings, sched):
     """Advance the lexicographic horizon by one position.
 
     Each loose end is extended according to the pair (h(i), h(j)) where i
@@ -336,8 +341,6 @@ def index_increase_event(state, fixings, sched, touched=None):
     ei, ej = p, state.inv[p]
     if ei == ej:
         return
-    if touched is not None:
-        touched.update((ei, ej))
     fix0, fix1 = fixings.fixed0, fixings.fixed1
     fa = 0 if ei in fix0 else (1 if ei in fix1 else None)
     fb = 0 if ej in fix0 else (1 if ej in fix1 else None)
@@ -442,10 +445,11 @@ def completeness_check(state, fixings, touched=None):
 def check_tree_invariants(state, fixings):
     """Debug walk asserting the structural tree properties.
 
-    Verifies: loose ends are leaves; at most one junction, shaped as the
-    conditional diamond with converse-paired necessary children; entries on
-    any rooted path are distinct and unfixed; every loose end sees exactly
-    the unfixed entries among the consumed positions and their preimages.
+    Verifies: loose ends are leaves; no junction below the root, and a root
+    junction is shaped as the conditional diamond with converse-paired
+    necessary children; entries on any rooted path are distinct and
+    unfixed; every loose end sees exactly the unfixed entries among the
+    consumed positions and their preimages.
     It also checks the caches against the walk: every vertex's branch tag
     and nearest conditional ancestor, and, from every loose end, the O(1)
     lookup of every entry.
@@ -455,7 +459,6 @@ def check_tree_invariants(state, fixings):
         return
     fix0, fix1 = fixings.fixed0, fixings.fixed1
     kind, entry, value = tree.kind, tree.entry, tree.value
-    junctions = []
     seen_loose = set()
     stack = [(0, {}, -1, -1)]
     while stack:
@@ -492,8 +495,8 @@ def check_tree_invariants(state, fixings):
                 walked = 0 if e in fix0 else 1 if e in fix1 else path.get(e)
                 if _h_pair(tree, fix0, fix1, e, e, v)[0] != walked:
                     raise InternalLogicError("h lookup of entry %d" % e)
-        if len(kids) == 2:
-            junctions.append(v)
+        if len(kids) == 2 and v:
+            raise InternalLogicError("junction below the root")
         if kind[v] in (CONDITIONAL, NECESSARY):
             if entry[v] in path:
                 raise InternalLogicError("duplicate entry on rooted path")
@@ -505,10 +508,8 @@ def check_tree_invariants(state, fixings):
             cond = v
         for c in kids:
             stack.append((c, path, c if len(kids) == 2 else branch, cond))
-    if len(junctions) > 1:
-        raise InternalLogicError("more than one junction vertex")
-    for j in junctions:
-        u1, u2 = tree.children(j)
+    if tree.second[0] >= 0:
+        u1, u2 = tree.children(0)
         if kind[u1] != CONDITIONAL or kind[u2] != CONDITIONAL:
             raise InternalLogicError("junction child not conditional")
         if entry[u1] == entry[u2]:
@@ -533,10 +534,11 @@ def propagate_set_raw(perms, fix0, fix1, n,
     Returns ``(feasible, fix0, fix1, states)``; the fixing sets are mutated
     in place and states are returned for inspection by tests.
 
-    A permutation taken off the queue stays complete until a new fixing
-    reaches an entry of its tree, its position p or the preimage of p; only
-    those states are marked dirty, and after each permutation finishes the
-    dirty ones are rechecked in index order and re-queued when incomplete.
+    A permutation stays on the queue while it is driven.  Once off it, it
+    stays complete until a new fixing reaches an entry of its tree, its
+    position p or the preimage of p; such a fixing puts it straight back on
+    the queue.  ``sched`` is the only conflict check: a tree never holds a
+    fixed entry, so a popped fixing of a fixed entry is a logic error.
     """
     fs = FixState(n)              # the caller's sets, not copies
     fs.fixed0, fs.fixed1 = fix0, fix1
@@ -546,30 +548,21 @@ def propagate_set_raw(perms, fix0, fix1, n,
     sched = FixScheduler()
     queue = deque(range(len(states)))
     in_queue = [True] * len(states)
-    dirty = set()
 
     def drain():
         while sched.stack:
             fixing = sched.pop()
             entry, value = fixing
-            if value == 0:
-                if entry in fix1:
-                    return False
-                if entry in fix0:
-                    continue
-                fix0.add(entry)
-            else:
-                if entry in fix0:
-                    return False
-                if entry in fix1:
-                    continue
-                fix1.add(entry)
+            if entry in fix0 or entry in fix1:
+                raise InternalLogicError("fixing of fixed entry %d" % entry)
+            (fix1 if value else fix0).add(entry)
             for k, st in enumerate(states):
                 if not in_queue[k]:
                     p = st.lex_index - 1
                     if entry == p or st.tree.entry_map.get(entry) or \
                             (p < n and st.inv[p] == entry):
-                        dirty.add(k)
+                        queue.append(k)
+                        in_queue[k] = True
                 variable_fixing_event(st, fs, fixing, sched)
                 if st.tree.infeasible:
                     return False
@@ -580,26 +573,16 @@ def propagate_set_raw(perms, fix0, fix1, n,
         return True
 
     while queue:
-        gi = queue.popleft()
-        in_queue[gi] = False
-        st = states[gi]
+        st = states[queue[0]]
         while not completeness_check(st, fs, touched):
-            index_increase_event(st, fs, sched, touched)
+            index_increase_event(st, fs, sched)
             if st.tree.infeasible:
                 return False, fix0, fix1, states
             if check_invariants:
                 check_tree_invariants(st, fs)
-            if sched.contradiction:
-                return False, fix0, fix1, states
             if sched.stack and not drain():
                 return False, fix0, fix1, states
-        # New fixings can demote a dirty permutation from complete back to
-        # pending (its next position may have become fixed); re-queue.
-        for k in sorted(dirty):
-            if k != gi and not completeness_check(states[k], fs):
-                queue.append(k)
-                in_queue[k] = True
-        dirty.clear()
+        in_queue[queue.popleft()] = False
     bound = 6 * n + 2
     for st in states:
         if st.tree.created > bound:

@@ -285,6 +285,9 @@ class _RowIndex:
       activity, and the row holds at that activity;
     - ``wake[v][i]``, as its index, otherwise.
 
+    An exact ``<=`` row whose max activity is at most its rhs can never
+    force an entry or fail, so it is in neither list.
+
     The settle test is closed-form.  With ``lo`` the min activity once i
     is at v, the row settles when ``lo <= rhs`` (``== rhs`` for ``==``
     rows) and raising any other term by its |coeff| would exceed the rhs:
@@ -303,10 +306,10 @@ class _RowIndex:
         wake, settle = self.wake, self.settle
         for r, row in enumerate(bp.rows):
             is_eq, rhs = row.sense == "==", row.rhs
-            # slack: rhs minus the min activity; least and second: the two
-            # smallest |coeff|.
+            # slack: rhs minus the min activity; top: the max activity;
+            # least and second: the two smallest |coeff|.
             terms = []
-            slack, size, exact = rhs, abs(rhs), rhs % 1 == 0
+            slack, top, size, exact = rhs, 0.0, abs(rhs), rhs % 1 == 0
             least = second = float("inf")
             for i, a in row.coeffs:
                 mag = abs(a)
@@ -314,6 +317,7 @@ class _RowIndex:
                     slack += mag
                     terms.append((i, a, a, 0.0, mag, 1))
                 else:
+                    top += a
                     terms.append((i, a, 0.0, a, mag, 0))
                 size += mag
                 exact = exact and mag % 1 == 0
@@ -323,6 +327,8 @@ class _RowIndex:
             terms = tuple(terms)
             self.rows.append((terms, is_eq, rhs))
             exact = exact and size < 2 ** 53
+            if exact and not is_eq and top <= rhs:
+                continue        # the row never binds
             for i, a, _amin, _amax, mag, w in terms:
                 if not a:
                     continue    # tightens nothing

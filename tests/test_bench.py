@@ -150,6 +150,19 @@ class TestInstanceFormat:
         with pytest.raises(InstanceError, match=message):
             parse_instance_dict(doc)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [doc], "top level must be an object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "n"},
+         "missing key 'n'"),
+        (lambda doc: dict(doc, variables=["a", "b", "a"]),
+         "variables must be 3 distinct names"),
+        (lambda doc: dict(doc, rows=[{"coeffs": {"1": 1.0}, "sense": "<="}]),
+         "row 1: missing key 'rhs'"),
+    ], ids=["list", "no-n", "repeated-names", "row-no-rhs"])
+    def test_malformed_document_rejected(self, edit, message):
+        with pytest.raises(InstanceError, match=message):
+            parse_instance_dict(edit(tiny_doc()))
+
     def test_json_error_has_context(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  not json\n")

@@ -56,6 +56,11 @@ class TestSolveCommand:
         assert rc == cli.EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_instance_file_is_usage_error(self, tmp_path, capsys):
+        rc = cli.main(["solve", "--instance", str(tmp_path / "none.json")])
+        assert rc == cli.EXIT_USAGE
+        assert "none.json" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self):
         assert cli.main(["solve", "--bogus"]) == cli.EXIT_USAGE
 
@@ -128,6 +133,40 @@ class TestPropagateAndOracle:
         out = capsys.readouterr().out
         assert rc == cli.EXIT_OK
         assert "fixed0 added: 4" in out
+
+    def test_row_conflict_is_infeasible(self, tmp_path, capsys):
+        bp = BinaryProgram(2, [1.0, 1.0],
+                           [Row.make({0: 1.0, 1: 1.0}, "<=", 1.0)], None,
+                           [Permutation.from_cycles(2, [(1, 2)])])
+        path = tmp_path / "pair.json"
+        write_instance("pair", bp, str(path))
+        rc = cli.main(["propagate", "--instance", str(path), "--fix1", "1,2"])
+        assert rc == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().out == "infeasible\n"
+
+    def test_oracle_without_generators_rejected(self, tmp_path, capsys):
+        path = tmp_path / "plain.json"
+        write_instance("plain", BinaryProgram(2, [1.0, 1.0], [], None, []),
+                       str(path))
+        assert cli.main(["oracle", "--instance", str(path)]) == cli.EXIT_USAGE
+        assert "no symmetry generators" in capsys.readouterr().err
+
+    def test_oracle_cap_below_free_count_rejected(self, cyclic5, capsys):
+        rc = cli.main(["oracle", "--instance", cyclic5, "--cap", "4"])
+        assert rc == cli.EXIT_USAGE
+        assert "5 unfixed entries exceed enumeration cap 4" \
+            in capsys.readouterr().err
+
+    def test_oracle_without_lex_leader_is_infeasible(self, tmp_path, capsys):
+        # x >=_lex (x2, x1) rules out x1 = 0, x2 = 1.
+        bp = BinaryProgram(2, [1.0, 1.0], [], None,
+                           [Permutation.from_cycles(2, [(1, 2)])])
+        path = tmp_path / "swap.json"
+        write_instance("swap", bp, str(path))
+        rc = cli.main(["oracle", "--instance", str(path),
+                       "--fix0", "1", "--fix1", "2"])
+        assert rc == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().out == "infeasible\n"
 
     def test_overlapping_fixings_rejected(self, cyclic5):
         rc = cli.main(["propagate", "--instance", cyclic5,
@@ -255,6 +294,13 @@ class TestExperimentCommand:
             == cli.EXIT_USAGE
         assert "unknown keys %s" % next(iter(extra)) \
             in capsys.readouterr().err
+
+    def test_grid_without_instances_rejected(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"modes": ["nosym"]}))
+        assert cli.main(["experiment", "--grid", str(grid), "--out", "-"]) \
+            == cli.EXIT_USAGE
+        assert "missing key 'instances'" in capsys.readouterr().err
 
     def test_seeds_grid_key_rejected(self, cyclic5, tmp_path, capsys):
         # Solves are deterministic, so the grid has no seed axis.

@@ -236,6 +236,20 @@ class TestPropagateSet:
             [Permutation.from_cycles(3, [(1, 2)])], FixState(3, {0}, {0}))
         assert not res.feasible
 
+    def test_fixing_scheduled_twice_is_a_logic_error(self, monkeypatch):
+        # The derived fixing x2 = 1 leaves necc(1,1) at two roots in one
+        # drain.  With the pending check gone both trees schedule x1 = 1,
+        # and the second pop must neither be skipped nor read as a conflict.
+        def push(sched, entry, value):
+            sched.pending[entry] = value
+            sched.stack.append((entry, value))
+
+        monkeypatch.setattr(FixScheduler, "push", push)
+        perms = [Permutation(img) for img in
+                 ((1, 0, 3, 2), (2, 0, 1, 3), (0, 2, 3, 1))]
+        with pytest.raises(InternalLogicError, match="fixed entry 0"):
+            propagate_set(perms, FixState(4, set(), {3}))
+
     def test_rejects_empty_and_identity(self):
         with pytest.raises(ValueError):
             propagate_set([], FixState(3))

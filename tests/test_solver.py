@@ -294,7 +294,8 @@ def _index_reference(bp):
     lowers an '==' row's max activity.  It settles the row when the row is
     exact and, with i at v, the row's one satisfying 0/1 completion puts
     every other term at its value at min activity; every other tightened
-    row is woken.
+    row is woken.  An exact row that every 0/1 point satisfies is in
+    neither list.
     """
     wake = tuple([[] for _ in range(bp.n)] for _ in (0, 1))
     settle = tuple([[] for _ in range(bp.n)] for _ in (0, 1))
@@ -305,6 +306,10 @@ def _index_reference(bp):
         def holds(act, row=row):
             return act == row.rhs if row.sense == "==" else act <= row.rhs
 
+        points = itertools.product((0, 1), repeat=len(row.coeffs))
+        if exact and all(holds(sum(a * y for (_i, a), y in
+                                   zip(row.coeffs, x))) for x in points):
+            continue
         for i, a in row.coeffs:
             others = [(j, b) for j, b in row.coeffs if j != i]
             at_min = tuple(int(b < 0) for _j, b in others)
