@@ -378,8 +378,7 @@ def _run_one(args) -> RunRow:
     mode, rl, time_limit = settings.mode, settings.relabel, settings.time_limit
     try:
         res: SolveResult = solve(bp, settings)
-        t = res.wall_time if res.status != "timelimit" else \
-            (time_limit if time_limit is not None else res.wall_time)
+        t = time_limit if res.status == "timelimit" else res.wall_time
         return RunRow(name, mode, rl, res.status, t,
                       res.nodes, res.sym_fixings, res.sym_time)
     except Exception as exc:  # recorded, never aborts the grid

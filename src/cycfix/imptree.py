@@ -15,23 +15,24 @@ A vertex is an int id into parallel lists on the tree (``kind``, ``entry``,
 ``first`` and ``second``; -1 is none).  Vertex 0 is the root, and
 ``tree.created`` is the lists' length.  Links are ids, so a tree holds no
 reference cycle: refcounting frees it when its call returns, and a copy is
-one slice per list.  At most one vertex, the junction, has two children, so
-every rooted path is the trunk plus at most one branch.  Under
-:func:`propagate_set_raw` only the root can be the junction.  A diamond
-forms only where both entries of a step are blank on a loose end's path.  A
-lone loose end guarded by a conditional is complete before that can happen,
-and an unguarded loose end's path holds only necessary vertices, which the
-driver drains as each reaches the root; so the loose end hangs directly
-under the root.  Two per-vertex caches replace the walks to the root that
-made one permutation cost Theta(n^2):
+one slice per list.  Under :func:`propagate_set_raw` only the root can have
+two children (be the junction), so every rooted path is the root plus one
+chain.  A diamond forms only where both entries of a step are blank on a
+loose end's path.  A lone loose end guarded by a conditional is complete
+before that can happen, and an unguarded loose end's path holds only
+necessary vertices, which the driver drains as each reaches the root; so
+the loose end hangs directly under the root, and
+:func:`index_increase_event` raises on a junction anywhere else.  Two
+per-vertex caches replace the walks to the root that made one permutation
+cost Theta(n^2):
 
-- ``branch`` is the junction child a vertex hangs under, or -1 on the
-  trunk.  The value of an entry as seen from a loose end is then the
-  fixings, else the one vertex of ``entry_map[entry]`` on the trunk or on
-  the loose end's branch: O(1), no walk.  When the junction dissolves (a
-  branch head is removed or spliced out, or a collapse re-hangs the
-  sibling), the surviving branch moves to the trunk; a vertex moves at most
-  once, so the moves cost O(1) amortized per vertex.
+- ``branch`` is the root child a vertex was created under, fixed then (a
+  loose end takes the tag of the vertex it moves below).  It is read only
+  while the root has two children; a diamond forms only when the root's
+  single child is the loose end, so every live vertex then was created
+  under one of them.  The value of an entry as seen from a loose end is the
+  fixings, else the vertex of ``entry_map[entry]`` with the loose end's tag,
+  or the only one there with one root child: O(1), no walk, no re-tagging.
 - ``cond`` is the nearest conditional ancestor as it was when it was set.
   Ancestors only die or turn necessary, each at most once, and never
   appear, so :func:`first_conditional_ancestor` resolves the pointer past
@@ -43,8 +44,8 @@ a loose end only for the second.  ``tree.created`` therefore counts real
 allocations, at most 5 per step and 2n+3 on a monotone n-cycle;
 :func:`propagate_set_raw` still checks the paper's bound of 6n+2.
 
-``tree.path_steps`` counts entry-map candidates read, pointers followed and
-vertices moved to the trunk; ``state.checks`` counts completeness checks.
+``tree.path_steps`` counts entry-map candidates read and pointers followed;
+``state.checks`` counts completeness checks.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class ImplicationTree(object):
         self.kind, self.parent = [ROOT, LOOSE_END], [-1, 0]
         self.first, self.second = [1, -1], [-1, -1]
         self.entry, self.value, self.alive = [-1, -1], [-1, -1], [True, True]
-        self.branch, self.cond = [-1, -1], [-1, -1]
+        self.branch, self.cond = [-1, 1], [-1, -1]
         self.loose_ends, self.entry_map = {1}, {}
         self.infeasible, self.path_steps = False, 0
 
@@ -111,7 +112,7 @@ class ImplicationTree(object):
         self.value.append(value)
         self.parent.append(parent)
         self.alive.append(True)
-        b = branch[parent]
+        b = v if parent == ROOT else branch[parent]
         branch.append(b)
         c = parent if kinds[parent] == CONDITIONAL else cond[parent]
         cond.append(c)
@@ -135,7 +136,7 @@ class ImplicationTree(object):
         self.alive[v] = False
         if self.kind[v] == LOOSE_END:
             self.loose_ends.discard(v)
-        elif v in self.entry_map.get(self.entry[v], ()):
+        else:
             self.entry_map[self.entry[v]].remove(v)
 
     def _detach(self, v):
@@ -145,56 +146,24 @@ class ImplicationTree(object):
             self.first[p] = self.second[p]
         self.second[p] = -1
 
-    def remove_subtree(self, v):
-        """Remove v and all its descendants from the tree.
-
-        Removing a branch head dissolves the junction: what hangs there
-        still moves to the trunk.
-        """
-        first, second = self.first, self.second
-        p = self.parent[v]
-        if v == first[p] or v == second[p]:
-            self._detach(v)
-            if self.branch[v] == v and first[p] >= 0:
-                self.to_trunk(first[p])
-        stack = [v]
-        while stack:
-            w = stack.pop()
-            self._unregister(w)
-            stack.extend(self.children(w))
-            first[w] = second[w] = -1
-
-    def remove_descendants(self, v):
-        children = self.children(v)
-        self.first[v] = self.second[v] = -1
-        for c in children:
-            self.remove_subtree(c)
+    def remove_path(self, v):
+        """Remove v and the chain below it; dead vertices keep their links."""
+        self._detach(v)
+        while v >= 0:
+            self._unregister(v)
+            v = self.first[v]
 
     def splice_out(self, v):
-        """Remove v, reattaching its children to v's parent in place."""
-        first, second, parent = self.first, self.second, self.parent
-        p, c, d = parent[v], first[v], second[v]
-        for w in self.children(v):
-            parent[w] = p
+        """Remove v, hanging its one child, if any, in v's place.  A v with
+        a child is its parent's first child: only the root has a second, the
+        diamond's (ej, 1), and entry_map lists (ej, 0), whose fixing merges
+        or removes that branch, before it."""
+        p, c = self.parent[v], self.first[v]
         if c < 0:
             self._detach(v)
-        elif first[p] == v:
-            first[p] = c
-            if d >= 0:                    # v was the junction
-                second[p] = d
-        else:                             # v heads p's second branch
-            second[p] = c
-        first[v] = second[v] = -1
+        else:
+            self.first[p], self.parent[c] = c, p
         self._unregister(v)
-
-    def to_trunk(self, v):
-        """Tag v and its descendants as trunk vertices."""
-        stack = [v]
-        while stack:
-            w = stack.pop()
-            self.path_steps += 1
-            self.branch[w] = -1
-            stack.extend(self.children(w))
 
     def sibling_of(self, v):
         p = self.parent[v]
@@ -278,11 +247,12 @@ def first_conditional_ancestor(tree, v):
 
 
 def _tree_value(tree, e, branch):
-    """Value of e's vertex on the trunk or on ``branch``, else None."""
+    """Value of e's vertex as seen from a loose end tagged ``branch``, else
+    None.  The tags are read only under a root junction."""
+    split = tree.second[0] >= 0
     for u in tree.entry_map.get(e, ()):
         tree.path_steps += 1
-        b = tree.branch[u]
-        if b < 0 or b == branch:
+        if not split or tree.branch[u] == branch:
             return tree.value[u]
     return None
 
@@ -303,10 +273,11 @@ def _collapse_to_necessary(tree, u):
     new vertex now does — is spliced away and the sibling re-hangs below u.
     """
     sib = tree.sibling_of(u)
-    tree.remove_descendants(u)
+    if tree.first[u] >= 0:
+        tree.remove_path(tree.first[u])
     tree.kind[u] = NECESSARY
     tree.value[u] = 1 - tree.value[u]
-    if sib >= 0 and tree.alive[sib]:
+    if sib >= 0:
         x = tree.first[sib]
         if tree.kind[sib] != CONDITIONAL or x < 0 or tree.second[sib] >= 0:
             raise InternalLogicError("diamond sibling has unexpected shape")
@@ -317,7 +288,6 @@ def _collapse_to_necessary(tree, u):
         tree._detach(sib)
         tree.parent[sib] = u
         tree.first[u] = sib
-        tree.to_trunk(u)                  # the junction is gone
 
 
 def _push_root_fixings(tree, sched):
@@ -344,21 +314,17 @@ def index_increase_event(state, fixings, sched):
     fix0, fix1 = fixings.fixed0, fixings.fixed1
     fa = 0 if ei in fix0 else (1 if ei in fix1 else None)
     fb = 0 if ej in fix0 else (1 if ej in fix1 else None)
-    alive, branch, parent = tree.alive, tree.branch, tree.parent
+    branch, parent = tree.branch, tree.parent
     new_vertex = tree.new_vertex
     for v in list(tree.loose_ends):
-        if not alive[v]:
-            continue
         a = fa if fa is not None else _tree_value(tree, ei, branch[v])
         b = fb if fb is not None else _tree_value(tree, ej, branch[v])
         if a is None and b is None:
-            if branch[parent[v]] >= 0:
-                raise InternalLogicError("second junction")
-            c1 = new_vertex(CONDITIONAL, ei, 0, parent[v], v)
-            branch[c1] = c1
+            if parent[v] != ROOT:
+                raise InternalLogicError("junction below the root")
+            c1 = new_vertex(CONDITIONAL, ei, 0, ROOT, v)
             new_vertex(NECESSARY, ej, 0, c1, v)
-            c2 = new_vertex(CONDITIONAL, ej, 1, parent[c1])
-            branch[c2] = c2
+            c2 = new_vertex(CONDITIONAL, ej, 1, ROOT)
             n2 = new_vertex(NECESSARY, ei, 1, c2)
             new_vertex(LOOSE_END, -1, -1, n2)
         elif a is None:                   # necessary x_i = 1 when x_j = 1
@@ -366,7 +332,7 @@ def index_increase_event(state, fixings, sched):
         elif b is None:                   # necessary x_j = 0 when x_i = 0
             new_vertex(CONDITIONAL if a else NECESSARY, ej, a, parent[v], v)
         elif a == 1 and b == 0:
-            tree.remove_subtree(v)        # equality impossible, branch dies
+            tree.remove_path(v)           # equality impossible, branch dies
         elif a == 0 and b == 1:
             u = first_conditional_ancestor(tree, v)
             if u < 0:
@@ -397,10 +363,10 @@ def variable_fixing_event(state, fixings_after, fixing, sched):
             # hinged on the opposite condition and dies.
             sib = tree.sibling_of(v)
             tree.splice_out(v)
-            if sib >= 0 and alive[sib]:
-                tree.remove_subtree(sib)
+            if sib >= 0:
+                tree.remove_path(sib)
         elif tree.kind[v] == CONDITIONAL:
-            tree.remove_subtree(v)
+            tree.remove_path(v)
         else:
             u = first_conditional_ancestor(tree, v)
             if u < 0:
@@ -450,15 +416,17 @@ def check_tree_invariants(state, fixings):
     necessary children; entries on any rooted path are distinct and
     unfixed; every loose end sees exactly the unfixed entries among the
     consumed positions and their preimages.
-    It also checks the caches against the walk: every vertex's branch tag
-    and nearest conditional ancestor, and, from every loose end, the O(1)
-    lookup of every entry.
+    It also checks the caches against the walk: while the root has two
+    children, every vertex's branch tag (the root child above it); always,
+    every vertex's nearest conditional ancestor and, from every loose end,
+    the O(1) lookup of every entry.
     """
     tree = state.tree
     if tree.infeasible:
         return
     fix0, fix1 = fixings.fixed0, fixings.fixed1
     kind, entry, value = tree.kind, tree.entry, tree.value
+    split = tree.second[0] >= 0
     seen_loose = set()
     stack = [(0, {}, -1, -1)]
     while stack:
@@ -471,7 +439,7 @@ def check_tree_invariants(state, fixings):
         for c in kids:
             if tree.parent[c] != v:
                 raise InternalLogicError("broken parent link")
-        if tree.branch[v] != branch:
+        if split and tree.branch[v] != branch:
             raise InternalLogicError("stale branch tag on vertex %d" % v)
         if v and first_conditional_ancestor(tree, v) != cond:
             raise InternalLogicError("stale conditional ancestor of %d" % v)
@@ -508,7 +476,7 @@ def check_tree_invariants(state, fixings):
             cond = v
         for c in kids:
             stack.append((c, path, c if len(kids) == 2 else branch, cond))
-    if tree.second[0] >= 0:
+    if split:
         u1, u2 = tree.children(0)
         if kind[u1] != CONDITIONAL or kind[u2] != CONDITIONAL:
             raise InternalLogicError("junction child not conditional")

@@ -257,6 +257,12 @@ class TestExperiment:
         assert len(rep.rows) == 4
         assert all(r.status == "optimal" for r in rep.rows)
 
+    def test_timed_out_row_reports_the_limit(self):
+        rep = run_experiment([gen_snark(3)], ["nosym"], ["original"],
+                             time_limit=0)
+        (row,) = rep.rows
+        assert (row.status, row.time) == ("timelimit", 0.0)
+
     def test_parallel_matches_serial(self):
         inst = [self.small_instance()]
         serial = run_experiment(inst, ["nosym", "peek"], ["original"])

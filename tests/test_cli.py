@@ -168,6 +168,12 @@ class TestPropagateAndOracle:
         assert rc == cli.EXIT_INFEASIBLE
         assert capsys.readouterr().out == "infeasible\n"
 
+    def test_group_closure_stops_at_its_limit(self):
+        gens = [Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])]
+        assert len(cli._group_closure(gens)) == 4
+        with pytest.raises(cli.UsageError, match="exceeds 3 elements"):
+            cli._group_closure(gens, limit=3)
+
     def test_overlapping_fixings_rejected(self, cyclic5):
         rc = cli.main(["propagate", "--instance", cyclic5,
                        "--fix0", "1", "--fix1", "1"])

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cycfix.core import (DimensionError, FixState, InvalidPermutationError,
-                         InvalidRestrictionError, Permutation, group_elements,
-                         is_monotone, is_monotone_ordered)
+                         InvalidRestrictionError, Permutation,
+                         PropagationResult, group_elements, is_monotone,
+                         is_monotone_ordered)
 
 
 def perms(max_n=10):
@@ -59,6 +60,8 @@ class TestPermutation:
     def test_apply_dimension_error(self):
         with pytest.raises(DimensionError):
             Permutation.identity(3).apply((1, 0))
+        with pytest.raises(DimensionError):
+            Permutation.identity(3).compose(Permutation.identity(4))
 
     def test_compose_and_inverse(self):
         a = Permutation.from_cycles(5, [(1, 2, 3)])
@@ -163,6 +166,12 @@ class TestFixState:
 
     def test_inconsistency(self):
         assert not FixState(3, {0}, {0}).is_consistent()
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            FixState(3, {3})
+        with pytest.raises(ValueError, match="infeasible"):
+            PropagationResult.infeasible().as_fixstate(3)
 
     def test_copy_is_independent(self):
         fs = FixState(4, {0}, set())

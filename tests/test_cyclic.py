@@ -193,6 +193,12 @@ class TestWitnesses:
                 assert tuple(x) > g.apply(x)
         self.run_cases(check)
 
+    def test_strict_witness_needs_an_unfixed_support_entry(self):
+        grp = CyclicSubgroup.generated_by(
+            Permutation.from_cycles(4, [(1, 2, 3)]))
+        with pytest.raises(ValueError, match="unfixed support entry"):
+            strict_witness(grp, {1}, {0, 2})
+
 
 class TestLexLeaderCompletion:
     def test_randomized_against_oracle(self):
@@ -456,3 +462,5 @@ class TestRelabel:
         g = Permutation.from_cycles(3, [(1, 2)])
         with pytest.raises(ValueError):
             relabel([g], strategy="bogus")
+        with pytest.raises(ValueError, match="generator"):
+            relabel([])

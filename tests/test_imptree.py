@@ -204,6 +204,20 @@ class TestExampleTrace:
         with pytest.raises(InternalLogicError):
             completeness_check(state, fs)
 
+    @pytest.mark.parametrize("fixed1", [{0}, set()], ids=["x1=1", "free"])
+    def test_walking_past_completeness_is_a_logic_error(self, fixed1):
+        # After two steps of (1 2)(3 4) every loose end is guarded by a
+        # conditional under the root, and both entries of the third step
+        # are blank on its path: a diamond would hang below the root.
+        gamma = Permutation.from_cycles(4, [(1, 2), (3, 4)])
+        fs = FixState(4, set(), fixed1)
+        state = init_state(gamma, fs)
+        sched = FixScheduler()
+        advance_to(state, fs, sched, 3)
+        assert completeness_check(state, fs)
+        with pytest.raises(InternalLogicError, match="below the root"):
+            index_increase_event(state, fs, sched)
+
 
 class TestPropagateSet:
     def test_worked_example(self):
@@ -380,8 +394,8 @@ def test_structural_invariants_on_monotone_groups(monkeypatch):
     """Powers of monotone cycles and of ordered products of them, under
     invariant checks after every event.  Half the cases add a transposition
     that derives a fixing on an end of the support, where the first diamond
-    hangs; the cases reach all three tree transitions that move vertices to
-    the trunk."""
+    hangs; the cases reach a diamond forming under the root, a branch head
+    spliced out of it, and a collapse merging its sibling branch."""
     tally = {"diamond": 0, "merge": 0, "head": 0}
     new_vertex = imptree.ImplicationTree.new_vertex
     splice_out = imptree.ImplicationTree.splice_out
@@ -394,7 +408,7 @@ def test_structural_invariants_on_monotone_groups(monkeypatch):
         return v
 
     def counted_splice_out(tree, v):
-        tally["head"] += tree.branch[v] == v
+        tally["head"] += tree.sibling_of(v) >= 0
         return splice_out(tree, v)
 
     def counted_collapse(tree, u):

@@ -38,6 +38,8 @@ class TestRowTypes:
         with pytest.raises(ValueError):
             BinaryProgram(3, [1.0] * 3, [], None,
                           [Permutation.identity(4)])
+        with pytest.raises(ValueError, match="names"):
+            BinaryProgram(3, [1.0] * 3, [], ["x1", "x2"], [])
 
     def test_check_symmetry(self):
         gen = Permutation.from_cycles(3, [(1, 2, 3)])
@@ -625,6 +627,10 @@ class TestSolve:
     def test_bad_time_limit_rejected(self, limit):
         with pytest.raises(ValueError, match="time limit"):
             Settings(time_limit=limit)
+
+    def test_unknown_relabel_rejected(self):
+        with pytest.raises(ValueError, match="relabel"):
+            Settings(relabel="x")
 
     def test_infinite_time_limit_is_no_limit(self):
         res = solve(simple_bp(4), Settings(time_limit=float("inf")))
