@@ -74,18 +74,21 @@ def parse_index(text: str, n: int, what: str) -> int:
     return i - 1
 
 
-def _sparse_to_dense(obj: Dict[str, float], n: int, what: str) -> List[float]:
+def _parse_coeffs(obj: Dict[str, float], n: int,
+                  what: str) -> Dict[int, float]:
+    """A JSON object of 1-based index: number as {0-based entry: coeff},
+    in O(size of the object) whatever n is."""
     if not isinstance(obj, dict):
         raise InstanceError("%s: not an object of index: value" % what)
-    dense = [0.0] * n
+    coeffs = {}
     for key, val in obj.items():
         i = parse_index(key, n, what)
         num = _number(val)
         if num is None:
             raise InstanceError("%s: value %r at index %s is not a finite "
                                 "number" % (what, val, key))
-        dense[i] = num
-    return dense
+        coeffs[i] = num
+    return coeffs
 
 
 def parse_instance_dict(doc: dict) -> Tuple[str, BinaryProgram]:
@@ -109,7 +112,10 @@ def parse_instance_dict(doc: dict) -> Tuple[str, BinaryProgram]:
             raise InstanceError("variables must be a list of names")
         if len(names) != n or len(set(names)) != n:
             raise InstanceError("variables must be %d distinct names" % n)
-    objective = _sparse_to_dense(doc.get("objective", {}), n, "objective")
+    objective = [0.0] * n
+    for i, c in _parse_coeffs(doc.get("objective", {}), n,
+                              "objective").items():
+        objective[i] = c
     if not isinstance(doc["rows"], list):
         raise InstanceError("rows must be a list of objects")
     rows = []
@@ -121,7 +127,7 @@ def parse_instance_dict(doc: dict) -> Tuple[str, BinaryProgram]:
             raise InstanceError(
                 "row %d: unknown keys %s" % (ridx, ", ".join(sorted(unknown))))
         try:
-            coeffs = _sparse_to_dense(rdoc["coeffs"], n, "row %d" % ridx)
+            coeffs = _parse_coeffs(rdoc["coeffs"], n, "row %d" % ridx)
             sense = rdoc["sense"]
             rhs = rdoc["rhs"]
         except KeyError as exc:
@@ -132,8 +138,8 @@ def parse_instance_dict(doc: dict) -> Tuple[str, BinaryProgram]:
                 "row %d: rhs %r is not a finite number" % (ridx, rhs))
         if sense not in ("<=", "=="):
             raise InstanceError("row %d: bad sense %r" % (ridx, sense))
-        rows.append(Row.make(
-            {i: a for i, a in enumerate(coeffs) if a != 0.0}, sense, num))
+        rows.append(Row.make({i: a for i, a in coeffs.items() if a != 0.0},
+                             sense, num))
     gdocs = doc.get("generators", [])
     if not isinstance(gdocs, list):
         raise InstanceError("generators must be a list of cycle lists")

@@ -4,13 +4,15 @@ the result type of the propagation entries.
 All indices in this module are 0-based except for cycle notation:
 :meth:`Permutation.from_cycles` and :meth:`Permutation.cycles` speak the usual
 1-based mathematical notation ``(1,2,3)`` so that instances written in cycle
-form read naturally.  Everything else — fixing sets, vectors, supports,
+form read naturally; :meth:`Permutation.cycles0` is the same list in 0-based
+labels, and the one cycle scan of a permutation.  Everything else — fixing sets, vectors, supports,
 blocks — uses 0-based positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import (FrozenSet, Iterable, List, NamedTuple, Optional, Sequence,
                     Set, Tuple)
 
@@ -34,7 +36,7 @@ class Permutation:
     propagation engine looks up preimages on every index-increase event.
     """
 
-    __slots__ = ("n", "image", "inv", "_identity", "_support")
+    __slots__ = ("n", "image", "inv", "_identity", "_support", "_cycles0")
 
     def __init__(self, image: Sequence[int]):
         img = tuple(image)
@@ -85,26 +87,37 @@ class Permutation:
 
     # -- views -------------------------------------------------------------
 
-    def cycles(self) -> List[Tuple[int, ...]]:
-        """Cycle form in 1-based notation; fixed points omitted.
+    def cycles0(self) -> Tuple[Tuple[int, ...], ...]:
+        """Cycle form in 0-based labels; fixed points omitted.  Computed on
+        the first call: the order, the powers and the cyclic layer's
+        stabilizers and blocks all read it.
 
         Canonical: each cycle starts at its smallest entry, cycles sorted by
         that entry, so the round trip through ``from_cycles`` is stable.
         """
-        out: List[Tuple[int, ...]] = []
+        try:
+            return self._cycles0
+        except AttributeError:
+            pass
+        image, out = self.image, []
         seen = [False] * self.n
         for start in range(self.n):
-            if seen[start] or self.image[start] == start:
+            if seen[start] or image[start] == start:
                 continue
             cyc = [start]
             seen[start] = True
-            cur = self.image[start]
+            cur = image[start]
             while cur != start:
                 cyc.append(cur)
                 seen[cur] = True
-                cur = self.image[cur]
-            out.append(tuple(c + 1 for c in cyc))
-        return out
+                cur = image[cur]
+            out.append(tuple(cyc))
+        self._cycles0 = tuple(out)
+        return self._cycles0
+
+    def cycles(self) -> List[Tuple[int, ...]]:
+        """:meth:`cycles0` in 1-based notation, as ``from_cycles`` reads it."""
+        return [tuple(a + 1 for a in c) for c in self.cycles0()]
 
     def support(self) -> Tuple[int, ...]:
         """Sorted 0-based indices moved by the permutation, computed on the
@@ -142,25 +155,17 @@ class Permutation:
         return Permutation([self.image[other.image[i]] for i in range(self.n)])
 
     def __pow__(self, e: int) -> "Permutation":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = Permutation.identity(self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            e >>= 1
-        return result
+        """self^e for any integer e: each cycle rotated by e mod its length."""
+        image = list(range(self.n))
+        for c in self.cycles0():
+            r = e % len(c)
+            for a, b in zip(c, c[r:] + c[:r]):
+                image[a] = b
+        return Permutation(image)
 
     def order(self) -> int:
         """Smallest t >= 1 with perm^t = identity (lcm of cycle lengths)."""
-        from math import lcm
-
-        result = 1
-        for cyc in self.cycles():
-            result = lcm(result, len(cyc))
-        return result
+        return lcm(*map(len, self.cycles0()))
 
     def apply(self, x: Sequence[int]) -> Tuple[int, ...]:
         """Permute coordinates: result[i] = x[inv(i)]."""
@@ -213,12 +218,7 @@ def group_elements(
     if s == 0:
         return []
     k = min(gen.order() - 1, max_count, max_weight // s)
-    out: List[Permutation] = []
-    cur = gen
-    for _ in range(k):
-        out.append(cur)
-        cur = cur.compose(gen)
-    return out
+    return [gen ** e for e in range(1, k + 1)]
 
 
 def is_monotone(cycle: Sequence[int]) -> bool:
@@ -238,7 +238,6 @@ class SubcycleDecomposition(NamedTuple):
     """Ordered monotone subcycles: blocks of 0-based supports, increasing."""
 
     blocks: Tuple[Tuple[int, ...], ...]  # sorted support of each subcycle
-    cycles: Tuple[Tuple[int, ...], ...]  # the subcycles themselves (0-based)
 
 
 def is_monotone_ordered(perm: Permutation) -> Optional[SubcycleDecomposition]:
@@ -248,23 +247,13 @@ def is_monotone_ordered(perm: Permutation) -> Optional[SubcycleDecomposition]:
     smaller than every entry of block i+1.  Fixed points may fall anywhere;
     they never influence a lexicographic comparison of x and perm(x).
     """
-    return ordered_decomposition(
-        [tuple(a - 1 for a in cyc) for cyc in perm.cycles()])
-
-
-def ordered_decomposition(
-    cycles0: Iterable[Tuple[int, ...]]
-) -> Optional[SubcycleDecomposition]:
-    """:func:`is_monotone_ordered` on 0-based cycles already at hand."""
-    cycles0 = sorted(cycles0, key=min)
-    for cyc in cycles0:
-        if not is_monotone(cyc):
-            return None
-    for a, b in zip(cycles0, cycles0[1:]):
+    cycles = perm.cycles0()  # sorted by smallest entry
+    if not all(map(is_monotone, cycles)):
+        return None
+    for a, b in zip(cycles, cycles[1:]):
         if max(a) >= min(b):
             return None
-    blocks = tuple(tuple(sorted(c)) for c in cycles0)
-    return SubcycleDecomposition(blocks, tuple(cycles0))
+    return SubcycleDecomposition(tuple(tuple(sorted(c)) for c in cycles))
 
 
 class FixState:

@@ -21,9 +21,11 @@ carried along.
 
 Every subgroup of <g> is the powers g^e with e a multiple of a divisor
 ``step`` of g's order, so a :class:`CyclicSubgroup` is (generator, step).
-The generator's cycles, ordered blocks, monotone support, block restrictions
-and element lists sit in one :class:`_Generator` record shared by every
-subgroup derived from it; stabilizers and restrictions compute a new step.
+One :class:`_Generator` record, shared by every subgroup derived from g,
+holds g's cycles, order and ordered blocks, read from the permutation's one
+cycle scan (a single monotone cycle is the case of one block), and the
+block restrictions and element tuples built so far; an element is the power
+``g ** e``.  Stabilizers and restrictions compute a new step.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from math import gcd, lcm
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
-from .core import (FixState, Permutation, PropagationResult, is_monotone,
-                   ordered_decomposition)
+from .core import (FixState, Permutation, PropagationResult,
+                   is_monotone_ordered)
 from .imptree import propagate_set
 
 
@@ -48,26 +50,16 @@ class _Generator:
     solve's symmetry unit that holds them; there is no global cache."""
 
     __slots__ = ("perm", "n", "cycles", "ord", "cycle_of", "decomp",
-                 "support", "restrictions", "elements")
+                 "restrictions", "elements")
 
     def __init__(self, perm: Permutation):
-        cycles = [tuple(a - 1 for a in c) for c in perm.cycles()]  # 0-based
+        cycles = perm.cycles0()
         self.perm, self.n, self.cycles = perm, perm.n, cycles
-        self.ord = lcm(*map(len, cycles))
+        self.ord = perm.order()
         self.cycle_of = {a: k for k, c in enumerate(cycles) for a in c}
-        self.decomp = ordered_decomposition(cycles)
-        self.support = sorted(cycles[0]) \
-            if len(cycles) == 1 and is_monotone(cycles[0]) else None
+        self.decomp = is_monotone_ordered(perm)
         self.restrictions: Dict[FrozenSet[int], _Generator] = {}
-        self.elements: Dict[int, List[Permutation]] = {}  # by step
-
-    def power(self, e: int) -> Permutation:
-        image = list(range(self.n))
-        for c in self.cycles:
-            r = e % len(c)
-            for a, b in zip(c, c[r:] + c[:r]):
-                image[a] = b
-        return Permutation(image)
+        self.elements: Dict[int, Tuple[Permutation, ...]] = {}  # by step
 
 
 class CyclicSubgroup:
@@ -119,13 +111,15 @@ class CyclicSubgroup:
     def is_trivial(self) -> bool:
         return self.step == self._gen.ord
 
-    def elements(self) -> List[Permutation]:
-        """Distinct non-identity elements, in exponent order."""
+    def elements(self) -> Tuple[Permutation, ...]:
+        """Distinct non-identity elements, in exponent order, built on the
+        first call for this step and shared by every later one."""
         gen, step = self._gen, self.step
-        if step not in gen.elements:
-            gen.elements[step] = [
-                gen.power(e) for e in range(step, gen.ord, step)]
-        return list(gen.elements[step])
+        elems = gen.elements.get(step)
+        if elems is None:
+            elems = gen.elements[step] = tuple(
+                gen.perm ** e for e in range(step, gen.ord, step))
+        return elems
 
     def stab_pointwise(self, indices: Iterable[int]) -> "CyclicSubgroup":
         """g^e fixes a cycle's entries iff the cycle's length divides e."""
@@ -165,15 +159,16 @@ class CyclicSubgroup:
 # -- monotone single-cycle groups -------------------------------------------
 
 
-def _monotone_support(group: CyclicSubgroup) -> List[int]:
+def _monotone_support(group: CyclicSubgroup) -> Tuple[int, ...]:
     """Sorted support of a generator that is one monotone cycle (each
-    support entry maps to the next larger one, the largest to the smallest).
+    support entry maps to the next larger one, the largest to the smallest):
+    the generator's decomposition then has exactly one block.
     """
-    gen = group._gen
-    if gen.support is None:
+    decomp = group._gen.decomp
+    if decomp is None or len(decomp.blocks) != 1:
         raise UnsupportedGroupError(
-            "generator is not a single monotone cycle: %r" % (gen.perm,))
-    return gen.support
+            "generator is not a single monotone cycle: %r" % (group.generator,))
+    return decomp.blocks[0]
 
 
 def strict_witness(
@@ -416,17 +411,12 @@ def relabel(
         support = set(gen.support())
         if not support or support & set(new_of):
             continue
-        cycles0 = [tuple(a - 1 for a in c) for c in gen.cycles()]
-        if strategy == "max":
-            cycles0.sort(key=len, reverse=True)
-        elif strategy == "min":
-            cycles0.sort(key=len)
-        else:
-            cycles0.sort(key=min)
-        for cyc in cycles0:
-            start = cyc.index(min(cyc))
-            for k in range(len(cyc)):
-                new_of[cyc[(start + k) % len(cyc)]] = next_label
+        cycles0 = gen.cycles0()  # sorted by smallest entry: ``respect``
+        if strategy != "respect":
+            cycles0 = sorted(cycles0, key=len, reverse=strategy == "max")
+        for cyc in cycles0:  # each cycle starts at its smallest member
+            for a in cyc:
+                new_of[a] = next_label
                 next_label += 1
     for i in range(n):
         if i not in new_of:

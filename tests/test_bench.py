@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -168,6 +169,24 @@ class TestInstanceFormat:
         path.write_text("{\n  not json\n")
         with pytest.raises(InstanceError, match="line"):
             parse_instance(str(path))
+
+    def test_parse_time_follows_the_terms_not_n(self):
+        # A row is parsed straight into its sparse dict: with n = 100,000
+        # and 1,000 two-term rows, expanding each row to n floats took 3 s.
+        n = 100_000
+        doc = {"name": "wide", "n": n, "objective": {"1": 1.0},
+               "rows": [{"coeffs": {str(k + 1): 1.0, str(n - k): -2.0},
+                         "sense": "<=", "rhs": 1.0} for k in range(1000)]}
+        start = time.perf_counter()
+        _, bp = parse_instance_dict(doc)
+        assert time.perf_counter() - start < 0.5
+        assert bp.rows[0].coeffs == ((0, 1.0), (n - 1, -2.0))
+        assert len(bp.rows) == 1000
+
+    def test_zero_coefficients_leave_rows(self):
+        doc = tiny_doc()
+        doc["rows"][0]["coeffs"] = {"1": 0.0, "2": 3.0, "3": -0.0}
+        assert parse_instance_dict(doc)[1].rows[0].coeffs == ((1, 3.0),)
 
 
 class TestSnarkGenerator:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -99,6 +100,32 @@ class TestPermutation:
         x = tuple(data.draw(st.lists(
             st.integers(0, 1), min_size=p.n, max_size=p.n)))
         assert p.apply(q.apply(x)) == p.compose(q).apply(x)
+
+    def test_power_matches_repeated_composition(self):
+        # Every exponent in [-2 order, 2 order], 0 and negatives included.
+        rng = random.Random(20)
+        for _ in range(40):
+            image = list(range(rng.randint(1, 9)))
+            rng.shuffle(image)
+            p = Permutation(image)
+            t = p.order()
+            for sign, base in ((1, p), (-1, p.inverse())):
+                expected = Permutation.identity(p.n)
+                for e in range(2 * t + 1):
+                    assert p ** (sign * e) == expected
+                    expected = expected.compose(base)
+
+    @given(perms())
+    def test_cycles_canonical_and_round_trip(self, p):
+        cyc = p.cycles()
+        assert all(len(c) >= 2 and c[0] == min(c) for c in cyc)
+        assert [c[0] for c in cyc] == sorted(c[0] for c in cyc)
+        assert sorted(a for c in cyc for a in c) == \
+            [i + 1 for i in p.support()]
+        assert p.cycles0() == tuple(tuple(a - 1 for a in c) for c in cyc)
+        assert Permutation.from_cycles(p.n, cyc) == p
+        assert all(not (p ** d).is_identity()
+                   for d in range(1, p.order()))
 
     @given(perms())
     def test_order_annihilates(self, p):

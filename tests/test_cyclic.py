@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from cycfix import cyclic as cyclic_module
 from cycfix.core import (FixState, InvalidRestrictionError, Permutation,
                          group_elements, is_monotone_ordered)
 from cycfix.cyclic import (CyclicSubgroup, UnsupportedGroupError,
@@ -379,20 +378,21 @@ class TestOrderedMonotone:
         lengths = (2, 3, 5, 7, 11, 13, 17, 19, 23)
         grp = CyclicSubgroup.generated_by(_blocks_of(lengths))
         built = []
-        power = cyclic_module._Generator.power
+        power = Permutation.__pow__
 
-        def counted_power(gen, e):
+        def counted_power(perm, e):
             built.append(e)
             assert len(built) < 100, "peeks list the whole group"
-            return power(gen, e)
+            return power(perm, e)
 
-        monkeypatch.setattr(cyclic_module._Generator, "power", counted_power)
+        monkeypatch.setattr(Permutation, "__pow__", counted_power)
         for fs in (FixState(100), FixState(100, [0, 2], [5, 40])):
             full = propagate_ordered_monotone(grp, fs.copy())
             res = propagate_ordered_monotone(grp, fs.copy(),
                                              compute_fixings=False)
             assert full.feasible == res.feasible
             assert full.fixed0 >= res.fixed0 and full.fixed1 >= res.fixed1
+        assert built  # the count sees the powers the peeks build
 
     @pytest.mark.parametrize("lengths", [(2, 3, 5), (3, 2, 5), (5, 2, 3)])
     def test_coprime_blocks_match_oracle(self, lengths):
