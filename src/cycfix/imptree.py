@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 from .core import FixState, Permutation, PropagationResult
 
@@ -376,7 +376,7 @@ def variable_fixing_event(state, fixings_after, fixing, sched):
     _push_root_fixings(tree, sched)
 
 
-def completeness_check(state, fixings, touched=None):
+def completeness_check(state, fixings):
     """True when no further fixing can come from this permutation alone.
 
     Callers must drain pending fixings first so the root has no necessary
@@ -397,8 +397,6 @@ def completeness_check(state, fixings, touched=None):
         return True
     p = state.lex_index - 1
     q = state.inv[p]
-    if touched is not None:
-        touched.update((p, q))
     if p in fixings.fixed0 or q in fixings.fixed1 or \
             state.image[p] <= p or q <= p:
         return False
@@ -494,8 +492,7 @@ def check_tree_invariants(state, fixings):
         raise InternalLogicError("loose-end registry out of sync")
 
 
-def propagate_set_raw(perms, fix0, fix1, n,
-                      check_invariants=False, touched=None):
+def propagate_set_raw(perms, fix0, fix1, n, check_invariants=False):
     """Drive every permutation to completeness, applying implied fixings.
 
     ``perms`` must be non-identity permutations on the same ground set.
@@ -542,7 +539,7 @@ def propagate_set_raw(perms, fix0, fix1, n,
 
     while queue:
         st = states[queue[0]]
-        while not completeness_check(st, fs, touched):
+        while not completeness_check(st, fs):
             index_increase_event(st, fs, sched)
             if st.tree.infeasible:
                 return False, fix0, fix1, states
@@ -564,7 +561,6 @@ def propagate_set(
     perms: Sequence[Permutation],
     fixings: FixState,
     check_invariants: bool = False,
-    touched: Optional[Set[int]] = None,
 ) -> PropagationResult:
     """Compute the combined per-permutation-complete fixing sets.
 
@@ -581,15 +577,13 @@ def propagate_set(
             raise ValueError("permutation ground set %d != %d" % (g.n, n))
         if g.is_identity():
             raise ValueError("identity permutation is not a constraint")
-    return propagate_set_with_states(
-        perms, fixings, check_invariants, touched)[0]
+    return propagate_set_with_states(perms, fixings, check_invariants)[0]
 
 
 def propagate_set_with_states(
     perms: Sequence[Permutation],
     fixings: FixState,
     check_invariants: bool = False,
-    touched: Optional[Set[int]] = None,
 ) -> Tuple[PropagationResult, List[PermPropState]]:
     """Like propagate_set, without its input checks, but also returns the
     final per-permutation states.
@@ -598,7 +592,7 @@ def propagate_set_with_states(
     """
     feasible, fix0, fix1, states = propagate_set_raw(
         perms, set(fixings.fixed0), set(fixings.fixed1), fixings.n,
-        check_invariants=check_invariants, touched=touched)
+        check_invariants=check_invariants)
     if not feasible:
         return PropagationResult.infeasible(), states
     return PropagationResult.of(fix0, fix1), states

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .core import FixState, Permutation, PropagationResult
 

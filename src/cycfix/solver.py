@@ -31,9 +31,8 @@ whose fixings the symmetry pass adds to the node's state.  The modes:
   individually, to a joint fixpoint;
 - ``nopeek`` — complete block propagation for ordered monotone generators
   without value peeking (power propagation as fallback);
-- ``peek``   — like ``nopeek`` plus value peeking; the fallback peeks the
-  entries whose values the propagation run looked up.  Both peek through
-  :func:`peek_entries`: the kernel runs only on uncertified peeks.
+- ``peek``   — like ``nopeek`` plus value peeking on the ordered
+  generators; an unordered generator's powers run as in ``nopeek``.
 
 A relabeling strategy other than ``original`` transforms the whole instance
 up front so generators become monotone/ordered and maps incumbents back.
@@ -43,11 +42,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import FixState, Permutation, group_elements, is_monotone_ordered
 from .cyclic import (CyclicSubgroup, RelabelPlan, fixes_nothing,
-                     peek_entries, propagate_ordered_monotone, relabel)
+                     propagate_ordered_monotone, relabel)
 from .imptree import propagate_set
 
 MODES = ("nosym", "gen", "group", "nopeek", "peek")
@@ -199,8 +198,7 @@ class _SymmetryEngine:
     A unit is ``("ordered", subgroup)`` for an ordered monotone generator
     in ``nopeek``/``peek``, or ``("perms", permutations)`` for a list that
     :func:`propagate_set` drives: the generators in ``gen``, one
-    generator's (safeguard-capped) powers otherwise.  In ``peek`` the only
-    ``"perms"`` units are that fallback, and they are peeked.
+    generator's (safeguard-capped) powers otherwise.
     """
 
     def __init__(self, bp: BinaryProgram, settings: Settings):
@@ -239,10 +237,6 @@ class _SymmetryEngine:
                         unit, fs, compute_fixings=peek)
                 elif fixes_nothing(unit, fs):
                     continue  # both fills certify the unit: a no-op
-                elif peek:
-                    if _peek_perms(unit, fs):
-                        continue
-                    return False
                 else:
                     res = propagate_set(unit, fs)
                 if not res.feasible:
@@ -253,21 +247,6 @@ class _SymmetryEngine:
         finally:
             self.sym_fixings += len(fs.fixed0) + len(fs.fixed1) - before
             self.sym_time += time.perf_counter() - t0
-
-
-def _peek_perms(elems: List[Permutation], fs: FixState) -> bool:
-    """:func:`propagate_set` plus single-value feasibility tests (peeks) on
-    the entries whose values the propagation run looked up; extends ``fs``
-    in place, False when infeasible."""
-    touched: Set[int] = set()
-    res = propagate_set(elems, fs, touched=touched)
-    if not res.feasible:
-        return False
-    fs.fixed0 |= res.fixed0
-    fs.fixed1 |= res.fixed1
-    peek_entries(sorted(touched - fs.fixed0 - fs.fixed1), elems, fs,
-                 lambda f: not propagate_set(elems, f).feasible)
-    return True
 
 
 class _RowIndex:

@@ -128,6 +128,22 @@ class TestPropagateAndOracle:
         assert rc == cli.EXIT_OK
         assert "fixed0 added: -" in out
 
+    def test_peek_runs_an_unordered_generator_as_nopeek(self, tmp_path,
+                                                         capsys):
+        # (1,3,2,4) is not ordered monotone: both modes run its powers.
+        bp = BinaryProgram(4, [0.0] * 4, [], None,
+                           [Permutation.from_cycles(4, [(1, 3, 2, 4)])])
+        path = tmp_path / "unordered.json"
+        write_instance("unordered", bp, str(path))
+        outs = {}
+        for mode in ("nopeek", "peek"):
+            rc = cli.main(["propagate", "--instance", str(path),
+                           "--fix0", "3", "--mode", mode])
+            assert rc == cli.EXIT_OK
+            outs[mode] = capsys.readouterr().out
+        assert outs["peek"] == outs["nopeek"] == \
+            "fixed0 added: -\nfixed1 added: -\n"
+
     def test_oracle_matches(self, cyclic5, capsys):
         rc = cli.main(["oracle", "--instance", cyclic5, "--fix0", "2,5"])
         out = capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""Every direction of the package needs only the standard library."""
+"""Every direction of the package needs only the standard library, and
+every name a module imports is used there or exported."""
 
 import ast
 import sys
@@ -30,3 +31,31 @@ def test_package_imports_only_the_standard_library():
         if not name.startswith(".")
         and name.split(".")[0] not in sys.stdlib_module_names}
     assert foreign == set()
+
+
+def _unused_imports(path):
+    """The names a source file binds by import but neither loads nor lists
+    in ``__all__``.  ``from __future__`` imports bind nothing."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    bound, used, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return bound - used - exported
+
+
+def test_package_imports_only_what_it_uses():
+    pkg = Path(cycfix.__file__).parent
+    unused = {(src.name, name) for src in sorted(pkg.rglob("*.py"))
+              for name in _unused_imports(src)}
+    assert unused == set()

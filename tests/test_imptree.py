@@ -295,12 +295,6 @@ class TestPropagateSet:
                 assert res.fixed0 >= fs.fixed0
                 assert res.fixed1 >= fs.fixed1
 
-    def test_touched_entries_are_recorded(self):
-        touched = set()
-        propagate_set([GAMMA1, GAMMA2], example_fixings(), touched=touched)
-        assert touched
-        assert touched <= set(range(8))
-
     def test_work_bound_counter(self):
         rng = random.Random(23)
         for _ in range(30):

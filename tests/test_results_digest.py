@@ -29,7 +29,7 @@ if ROOT not in sys.path:
 from perfbench.workloads import PlantedSmall, planted_program  # noqa: E402
 
 # (sha1, solves, summed nodes, summed sym_fixings)
-PLANTED_PIN = ("fe250b44ed104d5d03a1eb4fc473553d1bcb68ac", 2000, 68594, 5455)
+PLANTED_PIN = ("e8f0c04cb8cf314502106ad6e80cc48a2a254884", 2000, 68594, 5449)
 SNARK_PIN = ("961ff5db3d06df2c3b1031f1154c5ba260a63a63", 50, 10340, 602)
 
 

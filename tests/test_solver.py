@@ -7,8 +7,9 @@ import pytest
 from cycfix import cyclic as cyclic_module
 from cycfix import solver as solver_module
 from cycfix.bench import gen_snark
-from cycfix.core import FixState, Permutation, group_elements
-from cycfix.imptree import PropagationResult, propagate_set
+from cycfix.core import (FixState, Permutation, group_elements,
+                         is_monotone_ordered)
+from cycfix.imptree import propagate_set
 from cycfix.oracle import complete_fixings_oracle
 from cycfix.solver import (EPS, MODES, RELABELS, BinaryProgram, Row,
                            Settings, _row_propagate, _RowIndex,
@@ -100,68 +101,58 @@ class TestNodePropagate:
 
     def test_peek_fallback_for_unordered_generator(self):
         # (1,3,2,4) has two descents, so nopeek/peek fall back to its
-        # powers; only peek peeks them.
+        # powers and run them as group does: no mode peeks them.
         gen = Permutation.from_cycles(4, [(1, 3, 2, 4)])
         bp = simple_bp(4, [], [gen], objective=[0.0] * 4)
         fs = FixState(4, {2}, set())
-        want = {"group": {2}, "nopeek": {2}, "peek": {2, 3}}
         oracle = complete_fixings_oracle(group_elements(gen), fs.copy())
-        for mode, fixed0 in want.items():
+        for mode in ("group", "nopeek", "peek"):
             got = fs.copy()
             assert node_propagate(bp, got, Settings(mode=mode)), mode
-            assert (got.fixed0, got.fixed1) == (fixed0, set()), mode
+            assert (got.fixed0, got.fixed1) == ({2}, set()), mode
             assert got.fixed0 <= oracle.fixed0, mode
             assert got.fixed1 <= oracle.fixed1, mode
 
 
-def _peek_loop_reference(elems, fs):
-    """The former fallback peek loop: every free touched entry is peeked
-    at 0, then at 1, each peek decided by a from-scratch propagate_set."""
-    touched = set()
-    res = propagate_set(elems, fs, touched=touched)
-    if not res.feasible:
-        return res, 0
-    j0, j1 = set(res.fixed0), set(res.fixed1)
-    for i in sorted(touched):
-        if i in j0 or i in j1:
-            continue
-        if not propagate_set(elems, FixState(fs.n, j0 | {i}, j1)).feasible:
-            j1.add(i)
-            continue
-        if not propagate_set(elems, FixState(fs.n, j0, j1 | {i})).feasible:
-            j0.add(i)
-    added = len(j0) + len(j1) - len(res.fixed0) - len(res.fixed1)
-    return PropagationResult.of(j0, j1), added
-
-
-class TestPeekPerms:
-    def test_randomized_against_the_former_loop(self):
-        # Random permutation lists, the powers of random permutations (the
-        # fallback's input) and of random monotone cycles, n <= 12, under
-        # random fixings.
-        rng = random.Random(20229)
-        infeasible = peeked = 0
-        for k in range(3000):
-            n = rng.randint(2, 12)
-            if k % 3 == 0:
-                elems = [rand_perm(rng, n) for _ in range(rng.randint(1, 3))]
-            elif k % 3 == 1:
-                elems = group_elements(rand_perm(rng, n))
+class TestPeekOnUnorderedGenerators:
+    def test_randomized_peek_matches_nopeek(self):
+        # Programs whose generators are all not ordered monotone, n <= 10:
+        # planted-symmetry programs with rows, and 1-3 random permutations
+        # without rows.  peek builds the units of nopeek and, from random
+        # fixings, ends at the same verdict and fixings.
+        rng = random.Random(20241)
+        tally = {"fixed": 0, "infeasible": 0, "unchanged": 0}
+        programs = 0
+        while programs < 300:
+            n = rng.randint(3, 10)
+            if programs % 2:
+                bp = planted_symmetric_bp(rng, n)
             else:
-                elems = group_elements(monotone_cycle_on(
-                    rng.sample(range(n), rng.randint(2, n)), n))
-            fs = rand_fixstate(rng, n, 0.1, 0.1)
-            want, added = _peek_loop_reference(elems, fs.copy())
-            got = fs.copy()
-            ok = solver_module._peek_perms(elems, got)
-            assert ok is want.feasible, (elems, fs)
-            if ok:
-                assert (got.fixed0, got.fixed1) == (want.fixed0, want.fixed1), \
-                    (elems, fs)
-            infeasible += not want.feasible
-            peeked += added > 0
-        # The cases reach refuted base runs and peeks that fix entries.
-        assert infeasible >= 100 and peeked >= 60, (infeasible, peeked)
+                bp = simple_bp(n, generators=[
+                    rand_perm(rng, n) for _ in range(rng.randint(1, 3))])
+            if any(is_monotone_ordered(g) is not None
+                   for g in bp.generators):
+                continue
+            programs += 1
+            units = {mode: _SymmetryEngine(bp, Settings(mode=mode)).units
+                     for mode in ("nopeek", "peek")}
+            assert units["peek"] == units["nopeek"], bp.generators
+            assert all(kind == "perms" for kind, _ in units["peek"])
+            for _ in range(3):
+                fs = rand_fixstate(rng, n, 0.15, 0.15)
+                got = {}
+                for mode in ("nopeek", "peek"):
+                    out = fs.copy()
+                    ok = node_propagate(bp, out, Settings(mode=mode))
+                    got[mode] = (out.fixed0, out.fixed1) if ok else None
+                assert got["peek"] == got["nopeek"], (bp.generators, fs)
+                if got["peek"] is None:
+                    tally["infeasible"] += 1
+                elif got["peek"] != (fs.fixed0, fs.fixed1):
+                    tally["fixed"] += 1
+                else:
+                    tally["unchanged"] += 1
+        assert min(tally.values()) >= 100, tally
 
 
 def _every_unit_reference(engine, fs):
@@ -173,10 +164,6 @@ def _every_unit_reference(engine, fs):
         if kind == "ordered":
             res = cyclic_module.propagate_ordered_monotone(
                 unit, fs, compute_fixings=peek)
-        elif peek:
-            if not solver_module._peek_perms(unit, fs):
-                return False
-            continue
         else:
             res = propagate_set(unit, fs)
         if not res.feasible:
