@@ -4,8 +4,9 @@ Subpackages:
 
 - :mod:`cycfix.core` — permutations, monotone-cycle tests, fixing sets and
   propagation results.
-- :mod:`cycfix.imptree` — the implication-tree kernel: per-permutation
-  propagation events and the propagation loop over a set of permutations.
+- :mod:`cycfix.imptree` — per-permutation propagation over a set of
+  permutations: a union-find scan per permutation in the hot path, and the
+  implication tree's events and driver as its reference.
 - :mod:`cycfix.cyclic` — complete propagation for (ordered) monotone cyclic
   groups, stabilizer filtering, relabeling heuristics.
 - :mod:`cycfix.oracle` — exhaustive-enumeration ground truth for testing.

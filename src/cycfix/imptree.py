@@ -1,9 +1,17 @@
-"""Implication-tree kernel: per-permutation lexicographic fixing propagation.
+"""Per-permutation lexicographic fixing propagation: a scan and the tree.
 
-This module is both the hot core of the package and its public surface for
-one permutation at a time.  The hot code is plain Python (no dataclasses,
-no fancy typing); the events take the node's :class:`FixState` and the
-public entries return a :class:`PropagationResult`.
+:func:`propagate_set`, the entry every caller uses, runs
+:func:`_scan_fixpoint`.  That is a queue that scans each permutation once
+with :func:`_scan`, one union-find pass over the positions, and scans it
+again only when a new fixing reaches a position the pass read.  The
+implication tree below is the paper's structure for the same fixings.  It
+stays as the reference: :func:`propagate_set_with_states` drives it, tests
+compare the two drivers, and ``propagate_set(..., check_invariants=True)``
+runs both, walks the tree's invariants after every event and raises
+:class:`InternalLogicError` when their answers differ.  The code is plain
+Python (no dataclasses, no fancy typing); the events take the node's
+:class:`FixState` and the public entries return a
+:class:`PropagationResult`.
 
 The tree encodes, for one permutation ``g`` and a growing lexicographic
 horizon, all minimal conjunctions of fixings that either force x < g(x) on
@@ -557,6 +565,135 @@ def propagate_set_raw(perms, fix0, fix1, n, check_invariants=False):
     return True, fix0, fix1, states
 
 
+ZERO, ONE = -1, -2        # the scan's class roots for the two constants
+
+
+def _scan(inv, fix0, fix1):
+    """One union-find pass for x >=_lex g(x), where ``inv`` is sigma = g^-1.
+
+    Returns ``(new0, new1, last)``, the complete fixings not in (fix0,
+    fix1) and the last position read, or None when infeasible.  Branch k
+    means x_p = x_sigma(p) for every p < k, then x_k = 1 and x_sigma(k) = 0;
+    branch n means x_p = x_sigma(p) throughout.  An entry is fixed iff every
+    feasible branch forces it to one value.  The first feasible branch
+    forces the constant classes, which stay constant later, and two
+    candidate classes: class(k) to 1 and class(sigma(k)) to 0.  Any later
+    branch has merged the two, so it keeps at most one of them.  The pass
+    stops when no candidate is left or when 0 and 1 are joined.
+
+    ``label`` maps an entry to its class's root: ZERO, ONE or an entry; an
+    entry missing from it is its own root.  ``members`` lists the class of
+    every root entry that is not alone, and a merge relabels the smaller
+    class.  ``forced0`` and ``forced1`` list the unfixed entries labelled
+    with a constant in the order they were, so a prefix of each holds the
+    constant classes of an earlier branch.
+    """
+    label = dict.fromkeys(fix0, ZERO)
+    label.update(dict.fromkeys(fix1, ONE))
+    members, forced0, forced1 = {}, [], []
+    first, cand0, cand1 = -1, [], []
+    for k, s in enumerate(inv):
+        if s == k:
+            continue
+        rk, rs = label.get(k, k), label.get(s, s)
+        if rk != rs and rk != ZERO and rs != ONE:       # branch k feasible
+            if first < 0:
+                # an unfixed entry of the class both candidates merge into
+                first = k if rk >= 0 else s
+                n0, n1 = len(forced0), len(forced1)
+                if rk >= 0:
+                    cand1 = list(members.get(rk) or (rk,))
+                if rs >= 0:
+                    cand0 = list(members.get(rs) or (rs,))
+            else:
+                rq = label.get(first, first)
+                if rq != ONE and rq != rk:
+                    cand1 = []
+                if rq != ZERO and rq != rs:
+                    cand0 = []
+            if not cand0 and not cand1:
+                break
+        if rk == rs:
+            continue
+        if rk < 0:                          # a constant's class never moves
+            if rs < 0:                      # 0 and 1 joined
+                if first < 0:
+                    return None
+                break
+            rk, rs = rs, rk
+        moved = members.pop(rk, None)       # None: rk alone
+        if rs < 0:
+            keep = forced0 if rs == ZERO else forced1
+        else:
+            keep = members.get(rs)
+            if moved is not None and (keep is None or len(keep) < len(moved)):
+                members.pop(rs, None)       # the smaller class moves
+                rk, rs, moved, keep = rs, rk, keep, moved
+            if keep is None:
+                keep = [rs]
+            members[rs] = keep
+        if moved is None:
+            label[rk] = rs
+            keep.append(rk)
+        else:
+            for e in moved:
+                label[e] = rs
+            keep += moved
+    else:                                               # branch n
+        if first < 0:
+            return forced0, forced1, k
+        rq = label.get(first, first)
+        if rq != ONE:
+            cand1 = []
+        if rq != ZERO:
+            cand0 = []
+    return forced0[:n0] + cand0, forced1[:n1] + cand1, k
+
+
+def _scan_fixpoint(perms, fix0, fix1):
+    """Drive every permutation's scan to a common fixpoint, adding the new
+    fixings to the sets in place; False when infeasible.
+
+    Each permutation is scanned once from the queue.  A scan that adds
+    fixings puts back every other permutation j off the queue that a new
+    fixing e reaches, ``e <= last_j`` or ``image_j[e] <= last_j``: a scan
+    reads only the entries p and sigma(p) of the positions p it passed.
+    A scan never yields an entry fixed the other way, so such a fixing is
+    a logic error.
+    """
+    if fix0 & fix1:
+        return False
+    m = len(perms)
+    last = [0] * m
+    queue = deque(range(m))
+    in_queue = [True] * m
+    while queue:
+        j = queue.popleft()
+        in_queue[j] = False
+        out = _scan(perms[j].inv, fix0, fix1)
+        if out is None:
+            return False
+        new0, new1, last[j] = out
+        for new, same, other in ((new0, fix0, fix1), (new1, fix1, fix0)):
+            for e in new:
+                if e in other:
+                    raise InternalLogicError("fixing of fixed entry %d" % e)
+                same.add(e)
+        new = new0 + new1
+        if not new:
+            continue
+        for i in range(m):
+            if in_queue[i] or i == j:
+                continue
+            stop, image = last[i], perms[i].image
+            for e in new:
+                if e <= stop or image[e] <= stop:
+                    queue.append(i)
+                    in_queue[i] = True
+                    break
+    return True
+
+
 def propagate_set(
     perms: Sequence[Permutation],
     fixings: FixState,
@@ -565,9 +702,12 @@ def propagate_set(
     """Compute the combined per-permutation-complete fixing sets.
 
     For every permutation g the constraint is x >=_lex g(x); the result is
-    the fixpoint of applying each permutation's complete fixings in turn.
-    Identity permutations are rejected: their constraint is vacuous and a
-    caller passing one is confused.
+    the fixpoint of applying each permutation's complete fixings in turn,
+    found by :func:`_scan_fixpoint`.  With ``check_invariants`` the tree
+    driver also runs, walking the tree invariants after every event, and a
+    result that differs from the scan's is a logic error.  Identity
+    permutations are rejected: their constraint is vacuous and a caller
+    passing one is confused.
     """
     if not perms:
         raise ValueError("propagate_set needs at least one permutation")
@@ -577,7 +717,17 @@ def propagate_set(
             raise ValueError("permutation ground set %d != %d" % (g.n, n))
         if g.is_identity():
             raise ValueError("identity permutation is not a constraint")
-    return propagate_set_with_states(perms, fixings, check_invariants)[0]
+    fix0, fix1 = set(fixings.fixed0), set(fixings.fixed1)
+    if _scan_fixpoint(perms, fix0, fix1):
+        res = PropagationResult.of(fix0, fix1)
+    else:
+        res = PropagationResult.infeasible()
+    if check_invariants:
+        tree = propagate_set_with_states(perms, fixings, True)[0]
+        if tree != res:
+            raise InternalLogicError(
+                "scan %r and tree %r disagree" % (res, tree))
+    return res
 
 
 def propagate_set_with_states(
@@ -585,10 +735,11 @@ def propagate_set_with_states(
     fixings: FixState,
     check_invariants: bool = False,
 ) -> Tuple[PropagationResult, List[PermPropState]]:
-    """Like propagate_set, without its input checks, but also returns the
-    final per-permutation states.
+    """:func:`propagate_set` by the implication trees, without its input
+    checks, also returning the final per-permutation states.
 
-    Test hook: lets tests inspect final trees, horizons and vertex counters.
+    The reference driver: tests compare the scan with it and inspect its
+    final trees, horizons and vertex counters.
     """
     feasible, fix0, fix1, states = propagate_set_raw(
         perms, set(fixings.fixed0), set(fixings.fixed1), fixings.n,

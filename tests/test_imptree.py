@@ -14,7 +14,7 @@ from cycfix.imptree import (FixScheduler, InternalLogicError,
                             variable_fixing_event)
 from cycfix.oracle import per_perm_fixpoint_oracle
 
-from conftest import rand_fixstate, rand_perm
+from conftest import rand_fixstate, rand_ordered_monotone_group, rand_perm
 
 GAMMA1 = Permutation.from_cycles(8, [(1, 6, 8, 4, 7, 2, 5)])
 GAMMA2 = Permutation.from_cycles(8, [(1, 3, 6, 2, 4, 5)])
@@ -262,7 +262,18 @@ class TestPropagateSet:
         perms = [Permutation(img) for img in
                  ((1, 0, 3, 2), (2, 0, 1, 3), (0, 2, 3, 1))]
         with pytest.raises(InternalLogicError, match="fixed entry 0"):
-            propagate_set(perms, FixState(4, set(), {3}))
+            propagate_set_with_states(perms, FixState(4, set(), {3}))
+
+    def test_scan_fixing_a_fixed_entry_the_other_way_is_a_logic_error(
+            self, monkeypatch):
+        # The scan driver's one conflict check: a scan yields only new
+        # fixings, so x4 = 0 against the given x4 = 1 cannot be a conflict
+        # of the constraints.
+        monkeypatch.setattr(imptree, "_scan",
+                            lambda inv, fix0, fix1: ([3], [], len(inv) - 1))
+        with pytest.raises(InternalLogicError, match="fixed entry 3"):
+            propagate_set([Permutation.from_cycles(4, [(1, 2)])],
+                          FixState(4, set(), {3}))
 
     def test_rejects_empty_and_identity(self):
         with pytest.raises(ValueError):
@@ -332,9 +343,27 @@ class TestLinearWork:
         assert res.feasible
         assert sum(s.checks for s in states) <= 8 * len(perms)
 
+    @pytest.mark.parametrize("n", (64, 128, 256, 512))
+    def test_scans_linear_in_perms(self, n, monkeypatch):
+        scans = []
+        scan = imptree._scan
+
+        def counted_scan(inv, fix0, fix1):
+            scans.append(inv)
+            return scan(inv, fix0, fix1)
+
+        monkeypatch.setattr(imptree, "_scan", counted_scan)
+        cycle = _cycle(n)
+        perms = [cycle ** k for k in range(1, n)]
+        for fs in (FixState(n, {1}, set()), FixState(n, set(), {n // 3})):
+            scans.clear()
+            assert propagate_set(perms, fs).feasible
+            assert len(perms) <= len(scans) <= 2 * len(perms)
+
     def test_no_cyclic_garbage(self):
-        """Vertices link by id, so refcounting frees every tree when its
-        call returns and the cyclic collector finds nothing left over."""
+        """Vertices link by id and the scan keeps no graph, so refcounting
+        frees every call's state, the scan's and the tree driver's, when it
+        returns and the cyclic collector finds nothing left over."""
         n = 400
         cycle = _cycle(n)
         powers = [cycle ** k for k in range(1, 61)]
@@ -342,13 +371,14 @@ class TestLinearWork:
         gc.collect()
         gc.disable()
         try:
-            for perms in ([cycle], powers):
-                for count in range(3):
-                    fs = FixState(n)
-                    for i in rng.sample(range(n), count):
-                        (fs.fixed0 if rng.random() < 0.5 else
-                         fs.fixed1).add(i)
-                    propagate_set(perms, fs)
+            for drive in (propagate_set, propagate_set_with_states):
+                for perms in ([cycle], powers):
+                    for count in range(3):
+                        fs = FixState(n)
+                        for i in rng.sample(range(n), count):
+                            (fs.fixed0 if rng.random() < 0.5 else
+                             fs.fixed1).add(i)
+                        drive(perms, fs)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -466,6 +496,82 @@ def test_random_agrees_with_oracle_under_invariant_checks(data):
     res = propagate_set(perms, fs.copy(), check_invariants=True)
     ora = per_perm_fixpoint_oracle(perms, fs.copy())
     assert res == ora
+
+
+def _tree_result(perms, fs):
+    return propagate_set_with_states(perms, fs.copy())[0]
+
+
+class TestScanMatchesTree:
+    """The scan that :func:`propagate_set` runs against the implication-tree
+    driver, a different algorithm, and on small cases against enumeration.
+    A scan that missed a re-queue, or read one position more or less than
+    it reports, would drift from both."""
+
+    def test_small_cases_match_tree_and_oracle(self):
+        rng = random.Random(2203)
+        infeasible = 0
+        for case in range(3000):
+            n = rng.randint(2, 10)
+            if case % 2:
+                perms = list(rand_ordered_monotone_group(rng, n).elements())
+                perms += [rand_perm(rng, n) for _ in range(rng.randint(0, 1))]
+            else:
+                perms = [rand_perm(rng, n) for _ in range(rng.randint(1, 6))]
+            p0, p1 = rng.random() * 0.4, rng.random() * 0.4
+            fs = rand_fixstate(rng, n, p0, p1)
+            if rng.random() < 0.05:
+                fs.fixed1.add(rng.choice(sorted(fs.fixed0 or {0})))
+            res = propagate_set(perms, fs.copy())
+            assert res == _tree_result(perms, fs), (perms, fs)
+            assert res == per_perm_fixpoint_oracle(perms, fs.copy())
+            infeasible += not res.feasible
+        assert 300 <= infeasible <= 2700, infeasible
+
+    def test_scan_reads_nothing_past_last(self):
+        """The driver's re-queue test trusts ``last``: fixing an entry that
+        is neither a position p <= last nor sigma(p) of one must leave the
+        scan's answer as it was."""
+        rng = random.Random(1600)
+        checked = 0
+        for _ in range(1000):
+            n = rng.randint(2, 10)
+            g = rand_perm(rng, n)
+            fs = rand_fixstate(rng, n, rng.random() * 0.4, rng.random() * 0.4)
+            out = imptree._scan(g.inv, fs.fixed0, fs.fixed1)
+            if out is None:
+                continue
+            new0, new1, last = out
+            for e in range(n):
+                if e <= last or g.image[e] <= last or fs.is_fixed(e):
+                    continue
+                for fix in (fs.fixed0, fs.fixed1):
+                    fix.add(e)
+                    again = imptree._scan(g.inv, fs.fixed0, fs.fixed1)
+                    fix.discard(e)
+                    assert again == (new0, new1, last), (g, fs, e)
+                    checked += 1
+        assert checked >= 1000, checked
+
+    @pytest.mark.parametrize("n", (400, 700, 1000, 1300, 1600))
+    def test_long_cycles_match_tree(self, n):
+        rng = random.Random(n)
+        cycle = [_cycle(n)]
+        for count in (0, 1, 1, 2, 2, 2):
+            fs = FixState(n)
+            for i in rng.sample(range(n), count):
+                (fs.fixed0 if rng.random() < 0.5 else fs.fixed1).add(i)
+            assert propagate_set(cycle, fs.copy()) == _tree_result(cycle, fs)
+
+    @pytest.mark.parametrize("n", (128, 512))
+    def test_all_powers_match_tree(self, n):
+        rng = random.Random(n)
+        cycle = _cycle(n)
+        perms = [cycle ** k for k in range(1, n)]
+        for i in [0, 1, n // 2, n - 1] + rng.sample(range(n), 4):
+            for fs in (FixState(n, {i}, set()), FixState(n, set(), {i})):
+                assert propagate_set(perms, fs.copy()) == \
+                    _tree_result(perms, fs), fs
 
 
 def test_reported_kernel_is_the_one_that_runs():
