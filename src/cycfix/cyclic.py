@@ -9,7 +9,10 @@ one block; :func:`complete_fix_monotone_group` checks that shape and runs
 the same code.  All peeks go through :func:`peek_entries`, which runs the
 kernel only on a peek that no lex-leader completion certifies, and each
 block first asks :func:`fixes_nothing` whether both fills of the fixings
-certify the rest of the pass, which then stops.  The private propagators
+certify the rest of the pass, which then stops.  Both take a lex-leader
+test: on the ordered path it is :meth:`CyclicSubgroup.leads`, exact under
+the acting subgroup, which sees each element as a rotation of the vector's
+tuple on each block and builds no permutation.  The private propagators
 extend one :class:`FixState` in place and return False when it is
 infeasible; a peek is added to it and taken back, and only a peek sent to
 the kernel copies it.  The public entries copy their argument.
@@ -25,13 +28,15 @@ One :class:`_Generator` record, shared by every subgroup derived from g,
 holds g's cycles, order and ordered blocks, read from the permutation's one
 cycle scan (a single monotone cycle is the case of one block), and the
 block restrictions and element tuples built so far; an element is the power
-``g ** e``.  Stabilizers and restrictions compute a new step.
+``g ** e``.  Stabilizers and restrictions compute a new step, and so does
+``leads`` from block to block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import itemgetter
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
@@ -50,14 +55,17 @@ class _Generator:
     solve's symmetry unit that holds them; there is no global cache."""
 
     __slots__ = ("perm", "n", "cycles", "ord", "cycle_of", "decomp",
-                 "restrictions", "elements")
+                 "picks", "restrictions", "elements")
 
     def __init__(self, perm: Permutation):
         cycles = perm.cycles0()
         self.perm, self.n, self.cycles = perm, perm.n, cycles
         self.ord = perm.order()
         self.cycle_of = {a: k for k, c in enumerate(cycles) for a in c}
-        self.decomp = is_monotone_ordered(perm)
+        self.decomp = decomp = is_monotone_ordered(perm)
+        # Per block: a getter of a vector's entries on it, and its length.
+        self.picks = None if decomp is None else tuple(
+            (itemgetter(*b), len(b)) for b in decomp.blocks)
         self.restrictions: Dict[FrozenSet[int], _Generator] = {}
         self.elements: Dict[int, Tuple[Permutation, ...]] = {}  # by step
 
@@ -152,6 +160,44 @@ class CyclicSubgroup:
                 self._gen.perm.restrict(key))
         return CyclicSubgroup._of(sub, gcd(self.step, sub.ord))
 
+    def leads(self, x: Sequence[int], first: int = 0) -> bool:
+        """x >=_lex h(x) for every element h, given that every element
+        leaves x's entries before block ``first`` (0-based) in place; at
+        ``first`` = 0, whether x is a lex-leader under the subgroup.
+
+        Needs an ordered generator.  On a block with sorted positions
+        p_0 < ... < p_{L-1}, g^e(x)[p_k] = x[p_{(k-e) mod L}]: with t the
+        tuple of x there, g^e(x) is ``t[-e:] + t[:-e]``.  The blocks are
+        disjoint position intervals in order, so the first block on which
+        an element changes x decides its comparison.  Of the elements left
+        (the multiples of ``step``), those with e = r, 2r, ... (mod L),
+        r = gcd(step, L), give every rotation of t the block sees: one
+        greater than t fails, and the first one equal to t is the pattern's
+        period q (L without one).  The elements that change x on no block
+        so far are the multiples of lcm(step, q).  No Permutation is built.
+        """
+        gen, step = self._gen, self.step
+        if gen.picks is None:
+            raise UnsupportedGroupError(
+                "generator is not an ordered composition of monotone cycles")
+        order = gen.ord
+        for pick, size in gen.picks[first:]:
+            if step == order:
+                break
+            t = pick(x)
+            r = gcd(step, size)
+            for e in range(r, size, r):
+                u = t[-e:] + t[:-e]
+                if u != t:
+                    if u > t:
+                        return False
+                else:
+                    break
+            else:
+                e = size
+            step = lcm(step, e)
+        return True
+
     def __repr__(self) -> str:
         return "CyclicSubgroup(%r, step=%d)" % (self.generator, self.step)
 
@@ -241,11 +287,14 @@ def propagate_ordered_monotone(
 ) -> PropagationResult:
     """Block-wise complete propagation for ordered monotone generators.
 
-    Blocks are processed left to right.  In each block the restricted
-    subgroup's constraints are driven to per-permutation completeness;
-    with ``compute_fixings`` the remaining block entries are peeked by
-    :func:`peek_entries`, whose refutations are feasibility-only calls that
-    inherit the current subgroup and block position.  Afterwards the acting
+    Blocks are processed left to right.  A block first ends the pass when
+    :func:`fixes_nothing` certifies the fixings under the acting subgroup
+    (:meth:`CyclicSubgroup.leads` from this block).  Otherwise the
+    restricted subgroup's constraints are driven to per-permutation
+    completeness; with ``compute_fixings`` the remaining block entries are
+    peeked by :func:`peek_entries`, under the same lex-leader test, whose
+    refutations are feasibility-only calls that inherit the current
+    subgroup and block position.  Afterwards the acting
     subgroup shrinks to the setwise stabilizer of the block's fixing classes
     (block fully fixed) or the pointwise stabilizer of the block.
 
@@ -274,13 +323,13 @@ def _propagate_ordered(group: CyclicSubgroup, fs: FixState, first: int,
     for c in range(first, len(blocks)):
         if delta.is_trivial():
             break  # later blocks have no elements, so they fix nothing
-        # delta's restrictions to this and later blocks, at most n: a vector
-        # meeting them is a lex-leader under delta.  When both fills of the
-        # fixings meet them, every free entry takes both values, so nothing
-        # here or later is fixed or refuted.
-        later = [h for b in blocks[c:]
-                 for h in delta.restrict_to_block(b).elements()]
-        if fixes_nothing(later, fs):
+        # Every element of delta leaves the blocks before c in place on the
+        # completions of the fixings, so ``leads`` is exactly "a lex-leader
+        # under delta".  When both fills of the fixings pass, every free
+        # entry takes both values, so nothing here or later is fixed or
+        # refuted.
+        leads = lambda x: delta.leads(x, c)  # noqa: E731
+        if fixes_nothing(leads, fs):
             break
         block = blocks[c]
         elems = delta.restrict_to_block(block).elements()
@@ -288,7 +337,7 @@ def _propagate_ordered(group: CyclicSubgroup, fs: FixState, first: int,
             return False
         free = [i for i in block if i not in f0 and i not in f1]
         if compute_fixings and free:
-            peek_entries(free, later, fs, lambda f:
+            peek_entries(free, leads, fs, lambda f:
                          not _propagate_ordered(delta, f, c, False))
         if all(i in f0 or i in f1 for i in block):
             delta = delta.stab_setwise_pair(f0 & set(block), f1 & set(block))
@@ -307,30 +356,32 @@ def _fill(fs: FixState, value: int) -> List[int]:
     return x
 
 
-def lex_leader_completion(elems: Sequence[Permutation],
+def lex_leader_completion(leads: Callable[[List[int]], bool],
                           fs: FixState) -> Optional[List[int]]:
     """The fixings with every free entry 0, else with every free entry 1:
-    the first of the two with x >=_lex g(x) for every g in ``elems``, or
-    None.  Such an x is a member of the constrained set, so no sound
-    propagation refutes a peek that agrees with it."""
+    the first of the two that ``leads`` accepts, or None.  ``leads`` is a
+    lex-leader test under the symmetries being propagated, so such an x is
+    a member of the constrained set, and no sound propagation refutes a
+    peek that agrees with it."""
     for fill in (0, 1):
         x = _fill(fs, fill)
-        if _is_lex_leader(x, elems):
+        if leads(x):
             return x
     return None
 
 
-def fixes_nothing(elems: Sequence[Permutation], fs: FixState) -> bool:
+def fixes_nothing(leads: Callable[[List[int]], bool], fs: FixState) -> bool:
     """True when both fills of consistent fixings, every free entry 0 and
-    every free entry 1, satisfy x >=_lex g(x) for every g in ``elems``.
-    Then every free entry takes both values in the constrained set, so no
-    sound propagation fixes an entry or finds the fixings infeasible."""
+    every free entry 1, pass the lex-leader test ``leads``.  Then every
+    free entry takes both values in the constrained set, so no sound
+    propagation fixes an entry or finds the fixings infeasible."""
     return fs.fixed0.isdisjoint(fs.fixed1) \
-        and _is_lex_leader(_fill(fs, 0), elems) \
-        and _is_lex_leader(_fill(fs, 1), elems)
+        and leads(_fill(fs, 0)) and leads(_fill(fs, 1))
 
 
 def _is_lex_leader(x: List[int], elems: Sequence[Permutation]) -> bool:
+    """x >=_lex g(x) for every g in ``elems``: the test of a unit of
+    explicit permutations."""
     for g in elems:
         for k in g.support():  # g(x)[k] = x[g.inv[k]], x[k] elsewhere
             if x[k] != x[g.inv[k]]:
@@ -341,22 +392,23 @@ def _is_lex_leader(x: List[int], elems: Sequence[Permutation]) -> bool:
 
 
 def peek_entries(
-    entries: Iterable[int], elems: Sequence[Permutation], fs: FixState,
+    entries: Iterable[int], leads: Callable[[List[int]], bool], fs: FixState,
     refutes: Callable[[FixState], bool],
 ) -> None:
     """Peek each free entry i at 0, then 1; when ``refutes`` rejects a copy
     of the fixings plus i = v, fix i = 1 - v in ``fs``.  A peek that the
-    last lex-leader completion or the completion with the peek agrees with
-    is feasible and skips ``refutes``; a refutation leaves the last
-    completion valid.  A peek is made in ``fs`` and taken back, so only a
-    peek that goes to ``refutes`` copies the fixings."""
-    wit = lex_leader_completion(elems, fs)
+    last lex-leader completion (a fill that ``leads`` accepts) or the
+    completion with the peek agrees with is feasible and skips
+    ``refutes``; a refutation leaves the last completion valid.  A peek is
+    made in ``fs`` and taken back, so only a peek that goes to ``refutes``
+    copies the fixings."""
+    wit = lex_leader_completion(leads, fs)
     for i in entries:
         for v, peeked in ((0, fs.fixed0), (1, fs.fixed1)):
             if wit is not None and wit[i] == v:
                 continue
             peeked.add(i)
-            x = lex_leader_completion(elems, fs)
+            x = lex_leader_completion(leads, fs)
             refuted = x is None and refutes(fs.copy())
             peeked.discard(i)
             if x is not None:

@@ -19,7 +19,9 @@ A unit of explicit permutations runs only when :func:`fixes_nothing` does
 not certify it: if both fills of the current fixings (free entries all 0,
 and all 1) are lex-leaders under the unit, every free entry takes both
 values, so the unit would fix nothing and find nothing infeasible.  The
-ordered path makes the same check at each block.  Every propagator in a
+ordered path makes the same check at each block, with an exact lex-leader
+test under the acting subgroup that builds no permutation
+(``CyclicSubgroup.leads``).  Every propagator in a
 node extends the node's :class:`FixState` in place and returns False when
 it is infeasible; only the public entries ``propagate_set`` and
 ``propagate_ordered_monotone`` copy it and return a ``PropagationResult``,
@@ -45,8 +47,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import FixState, Permutation, group_elements, is_monotone_ordered
-from .cyclic import (CyclicSubgroup, RelabelPlan, fixes_nothing,
-                     propagate_ordered_monotone, relabel)
+from .cyclic import (CyclicSubgroup, RelabelPlan, _is_lex_leader,
+                     fixes_nothing, propagate_ordered_monotone, relabel)
 from .imptree import propagate_set
 
 MODES = ("nosym", "gen", "group", "nopeek", "peek")
@@ -235,7 +237,7 @@ class _SymmetryEngine:
                 if kind == "ordered":
                     res = propagate_ordered_monotone(
                         unit, fs, compute_fixings=peek)
-                elif fixes_nothing(unit, fs):
+                elif fixes_nothing(lambda x: _is_lex_leader(x, unit), fs):
                     continue  # both fills certify the unit: a no-op
                 else:
                     res = propagate_set(unit, fs)

@@ -5,9 +5,9 @@ import pytest
 from cycfix.core import (FixState, InvalidRestrictionError, Permutation,
                          group_elements, is_monotone_ordered)
 from cycfix.cyclic import (CyclicSubgroup, UnsupportedGroupError,
-                           complete_fix_monotone_group, fixes_nothing,
-                           group_feasible_monotone, lex_leader_completion,
-                           propagate_ordered_monotone,
+                           _is_lex_leader, complete_fix_monotone_group,
+                           fixes_nothing, group_feasible_monotone,
+                           lex_leader_completion, propagate_ordered_monotone,
                            relabel, strict_witness)
 from cycfix.imptree import PropagationResult, propagate_set
 from cycfix.oracle import (complete_fixings_oracle, enumerate_feasible,
@@ -199,6 +199,69 @@ class TestWitnesses:
             strict_witness(grp, {1}, {0, 2})
 
 
+def _leader_test(rng, n, lists):
+    """A random permutation list under ``_is_lex_leader`` (when ``lists``),
+    else a random monotone cyclic group under its own ``leads``; with the
+    group's elements."""
+    if lists:
+        elems = [rand_perm(rng, n) for _ in range(rng.randint(1, 3))]
+        return elems, lambda x: _is_lex_leader(x, elems)
+    grp = rand_monotone_group(rng, n)
+    return grp.elements(), grp.leads
+
+
+class TestLeads:
+    """CyclicSubgroup.leads against the oracle over the whole subgroup."""
+
+    def test_every_step_randomized(self):
+        # Ordered monotone generators with 1-4 blocks and fixed points
+        # between and inside the blocks' spans, n <= 14, every divisor step
+        # of the order, random vectors.
+        rng = random.Random(20240)
+        tally = {True: 0, False: 0}
+        for _ in range(1500):
+            n = rng.randint(2, 14)
+            gen = rand_ordered_monotone_group(rng, n).generator
+            order = gen.order()
+            for step in range(1, order + 1):
+                if order % step:
+                    continue
+                grp = CyclicSubgroup(gen, range(step, order, step))
+                x = [rng.randint(0, 1) for _ in range(n)]
+                want = is_lex_leader(x, grp.elements())
+                assert grp.leads(x) == want, (gen, step, x)
+                tally[want] += 1
+        assert min(tally.values()) >= 1000, tally
+
+    def test_later_start_blocks(self):
+        # From block c > 0 with delta the stabilizer of x's pattern on the
+        # blocks before c, leads(x, c) is the lex-leader test under delta.
+        rng = random.Random(20241)
+        tally = {True: 0, False: 0}
+        while sum(tally.values()) < 3000:
+            n = rng.randint(4, 14)
+            grp = rand_ordered_monotone_group(rng, n)
+            blocks = is_monotone_ordered(grp.generator).blocks
+            if len(blocks) < 2:
+                continue
+            x = [rng.randint(0, 1) for _ in range(n)]
+            c = rng.randint(1, len(blocks) - 1)
+            before = [i for b in blocks[:c] for i in b]
+            delta = grp.stab_setwise_pair([i for i in before if x[i]],
+                                          [i for i in before if not x[i]])
+            if delta.is_trivial():
+                continue
+            want = is_lex_leader(x, delta.elements())
+            assert delta.leads(x, c) == want, (grp, c, x)
+            tally[want] += 1
+        assert min(tally.values()) >= 600, tally
+
+    def test_needs_an_ordered_generator(self):
+        gen = Permutation.from_cycles(6, [(1, 3, 5), (2, 4, 6)])
+        with pytest.raises(UnsupportedGroupError):
+            CyclicSubgroup.generated_by(gen).leads([0] * 6)
+
+
 class TestLexLeaderCompletion:
     def test_randomized_against_oracle(self):
         # Random permutation lists and monotone cyclic groups, n <= 12: the
@@ -209,16 +272,13 @@ class TestLexLeaderCompletion:
         tally = {0: 0, 1: 0, None: 0}
         for _ in range(3000):
             n = rng.randint(2, 12)
-            if rng.random() < 0.5:
-                elems = [rand_perm(rng, n) for _ in range(rng.randint(1, 3))]
-            else:
-                elems = rand_monotone_group(rng, n).elements()
+            elems, leads = _leader_test(rng, n, rng.random() < 0.5)
             fs = rand_fixstate(rng, n)
             completions = [[1 if i in fs.fixed1 else 0 if i in fs.fixed0
                             else fill for i in range(n)] for fill in (0, 1)]
             want = next((fill for fill in (0, 1)
                          if is_lex_leader(completions[fill], elems)), None)
-            got = lex_leader_completion(elems, fs)
+            got = lex_leader_completion(leads, fs)
             assert got == (None if want is None else completions[want]), \
                 (elems, fs)
             tally[want] += 1
@@ -236,16 +296,15 @@ class TestFixesNothing:
         held = 0
         for k in range(3000):
             n = rng.randint(2, 10)
-            if k % 3 == 0:
-                elems = [rand_perm(rng, n) for _ in range(rng.randint(1, 3))]
-            elif k % 3 == 1:
+            if k % 3 == 1:
                 elems = group_elements(rand_perm(rng, n))
+                leads = lambda x: _is_lex_leader(x, elems)  # noqa: E731
             else:
-                elems = rand_monotone_group(rng, n).elements()
+                elems, leads = _leader_test(rng, n, k % 3 == 0)
             fs = rand_fixstate(rng, n)
             fills = [[1 if i in fs.fixed1 else 0 if i in fs.fixed0
                       else fill for i in range(n)] for fill in (0, 1)]
-            got = fixes_nothing(elems, fs)
+            got = fixes_nothing(leads, fs)
             assert got == all(is_lex_leader(x, elems) for x in fills), \
                 (elems, fs)
             if got:
@@ -255,11 +314,10 @@ class TestFixesNothing:
                 assert propagate_set(elems, fs.copy()) == same
         assert 600 <= held <= 2400, held
 
-    def test_block_restrictions_certify_the_group(self):
-        # Ordered monotone generators, n <= 10: the restrictions of the
-        # (sub)group to its blocks are at most n permutations; when both
-        # fills meet them, the complete fixings of the whole group are the
-        # input fixings.
+    def test_leads_certifies_the_group(self):
+        # Ordered monotone generators, n <= 10: when both fills pass the
+        # (sub)group's leads, the complete fixings of the whole group are
+        # the input fixings.
         rng = random.Random(20231)
         held = tried = 0
         while tried < 2000:
@@ -268,20 +326,18 @@ class TestFixesNothing:
             if grp.is_trivial():
                 continue
             tried += 1
-            blocks = is_monotone_ordered(grp.generator).blocks
-            restrictions = [h for b in blocks
-                            for h in grp.restrict_to_block(b).elements()]
             fs = rand_fixstate(rng, n)
-            if fixes_nothing(restrictions, fs):
+            if fixes_nothing(grp.leads, fs):
                 held += 1
                 assert complete_fixings_oracle(grp.elements(), fs.copy()) \
                     == PropagationResult.of(fs.fixed0, fs.fixed1), (grp, fs)
         assert 400 <= held <= 1600, held
 
     def test_inconsistent_fixings_never_hold(self):
-        gen = Permutation.from_cycles(3, [(1, 2)])
-        assert fixes_nothing([gen], FixState(3))
-        assert not fixes_nothing([gen], FixState(3, {0}, {0}))
+        grp = CyclicSubgroup.generated_by(
+            Permutation.from_cycles(3, [(1, 2)]))
+        assert fixes_nothing(grp.leads, FixState(3))
+        assert not fixes_nothing(grp.leads, FixState(3, {0}, {0}))
 
 
 class TestPublicEntriesKeepTheirArgument:

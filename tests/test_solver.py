@@ -178,8 +178,18 @@ class TestCertifiedUnits:
         # Programs with 2-3 generators (random permutations, monotone
         # cycles, ordered monotone generators), n <= 10, in every mode: one
         # pass from random fixings ends as the pass that runs every unit.
+        # The reference switches the ordered path's certificate off through
+        # ``cyclic.fixes_nothing``; the counter checks that every feasible
+        # reference run with an ordered unit reaches the switch.
         rng = random.Random(20232)
         tally = {"fixed": 0, "infeasible": 0, "unchanged": 0}
+        calls = []
+        reached = 0
+
+        def switched_off(*args):
+            calls.append(args)
+            return False
+
         for _ in range(400):
             n = rng.randint(4, 10)
             gens = []
@@ -198,10 +208,15 @@ class TestCertifiedUnits:
                 for _ in range(3):
                     fs = rand_fixstate(rng, n, 0.15, 0.15)
                     ref = fs.copy()
+                    mark = len(calls)
                     with monkeypatch.context() as m:
                         m.setattr(cyclic_module, "fixes_nothing",
-                                  lambda *args: False)
+                                  switched_off)
                         ok = _every_unit_reference(engine, ref)
+                    if ok and any(kind == "ordered"
+                                  for kind, _ in engine.units):
+                        assert len(calls) > mark, (gens, mode, fs)
+                        reached += 1
                     before = len(fs.fixed0) + len(fs.fixed1)
                     assert engine.propagate(fs) is ok, (gens, mode, ref)
                     if not ok:
@@ -211,6 +226,7 @@ class TestCertifiedUnits:
                     tally["fixed" if len(fs.fixed0) + len(fs.fixed1) > before
                           else "unchanged"] += 1
         assert min(tally.values()) >= 300, tally
+        assert reached >= 1000, reached
 
 
 def _full_rescan_reference(bp, fs):
