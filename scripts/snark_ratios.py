@@ -7,6 +7,11 @@ a repeat runs every cell once, so a stretch of slow host touches all cells
 alike.  The table gives the median time in seconds, the node count, and
 the ratios peek/nopeek and nopeek/group of the medians.  The flower snarks
 are infeasible, so each solve searches its whole tree.
+
+Each size's program is built once and solved in every cell, so its set-up
+(generator check, relabeled programs, row indexes, symmetry units) is made
+on its first solves and shared by every later repeat and mode: with more
+than one repeat, the medians time warm solves, the search alone.
 """
 
 from __future__ import annotations

@@ -52,7 +52,8 @@ class UnsupportedGroupError(ValueError):
 class _Generator:
     """What every subgroup of one generator shares, computed once.  Only
     the subgroups derived from it refer to it, so it lives as long as the
-    solve's symmetry unit that holds them; there is no global cache."""
+    symmetry units that hold them: those in a program's set-up record
+    live as long as the program; there is no global cache."""
 
     __slots__ = ("perm", "n", "cycles", "ord", "cycle_of", "decomp",
                  "picks", "restrictions", "elements")

@@ -38,6 +38,11 @@ whose fixings the symmetry pass adds to the node's state.  The modes:
 
 A relabeling strategy other than ``original`` transforms the whole instance
 up front so generators become monotone/ordered and maps incumbents back.
+
+A program's set-up (the generator check, each relabeled program and plan,
+the row index and the symmetry units) is made once and kept on the program
+(:class:`_SetUp`) while its content is unchanged, so every later solve of
+it reuses that set-up and its ``wall_time`` does not include it.
 """
 
 from __future__ import annotations
@@ -107,13 +112,18 @@ class BinaryProgram:
 
     def check_generators(self, tol: float = 1e-9) -> None:
         """Raise ValueError naming the first declared generator (1-based)
-        that :meth:`check_symmetry` rejects."""
+        that :meth:`check_symmetry` rejects.  A pass is recorded with the
+        program's content, so checking it again at ``tol`` is free."""
+        rec = _SetUp.of(self)
+        if rec.tol == tol:
+            return
         keys = self._row_keys() if self.generators else []
         for k, g in enumerate(self.generators, start=1):
             if not self._is_symmetry(g, tol, keys):
                 raise ValueError(
                     "generator %d %r is not a symmetry of the program"
                     % (k, g))
+        rec.tol = tol
 
     def _row_keys(self) -> List[Tuple[tuple, Tuple[int, ...],
                                       Tuple[float, ...]]]:
@@ -165,6 +175,33 @@ class BinaryProgram:
         return True
 
 
+class _SetUp:
+    """What :func:`solve` derives from one program's content, kept on the
+    program as ``_setup`` and used while that content equals ``token``:
+    the ``tol`` its generators passed :meth:`~BinaryProgram.check_generators`
+    at, its symmetry units by shape, and per relabeling strategy the
+    relabeled program (None: the program itself, which keeps its units),
+    plan and :class:`_RowIndex`.  A search reads it and writes only the
+    lazy caches of its permutations and cyclic groups."""
+
+    __slots__ = ("token", "tol", "units", "labelings")
+
+    def __init__(self, token: tuple):
+        self.token, self.tol = token, None
+        self.units: dict = {}       # shape -> units
+        self.labelings: dict = {}   # strategy -> (program or None, plan, rows)
+
+    @staticmethod
+    def of(bp: BinaryProgram) -> "_SetUp":
+        """bp's record, a new one when bp's content no longer matches."""
+        token = (bp.n, tuple(bp.objective), tuple(bp.rows),
+                 tuple(bp.generators))
+        rec = getattr(bp, "_setup", None)
+        if rec is None or rec.token != token:
+            rec = bp._setup = _SetUp(token)
+        return rec
+
+
 @dataclass(frozen=True)
 class Settings:
     mode: str = "nosym"
@@ -195,32 +232,43 @@ class SolveResult:
 
 
 class _SymmetryEngine:
-    """Per-solve precomputation of the symmetry propagation strategy.
+    """A solve's symmetry propagation: the program's shared units and the
+    solve's counters.
 
     A unit is ``("ordered", subgroup)`` for an ordered monotone generator
     in ``nopeek``/``peek``, or ``("perms", permutations)`` for a list that
     :func:`propagate_set` drives: the generators in ``gen``, one
-    generator's (safeguard-capped) powers otherwise.
+    generator's (safeguard-capped) powers otherwise.  The units are built
+    once per content of the program and shape (``peek`` shares
+    ``nopeek``'s) and kept in its :class:`_SetUp`.
     """
 
     def __init__(self, bp: BinaryProgram, settings: Settings):
         self.mode = settings.mode
-        self.units: List[Tuple[str, object]] = []
         self.sym_fixings = 0     # entries the passes fixed, and their time
         self.sym_time = 0.0
+        shape = "nopeek" if self.mode == "peek" else self.mode
+        shared = _SetUp.of(bp).units
+        if shape not in shared:
+            shared[shape] = self._units(bp, shape)
+        self.units: List[Tuple[str, object]] = shared[shape]
+
+    @staticmethod
+    def _units(bp: BinaryProgram, mode: str) -> List[Tuple[str, object]]:
         gens = [g for g in bp.generators if not g.is_identity()]
-        if self.mode == "nosym" or not gens:
-            return
-        if self.mode == "gen":
-            self.units.append(("perms", gens))
-            return
+        if mode == "nosym" or not gens:
+            return []
+        if mode == "gen":
+            return [("perms", gens)]
+        units = []
         for g in gens:
-            if self.mode != "group" and is_monotone_ordered(g) is not None:
-                self.units.append(("ordered", CyclicSubgroup.generated_by(g)))
+            if mode != "group" and is_monotone_ordered(g) is not None:
+                units.append(("ordered", CyclicSubgroup.generated_by(g)))
             else:
                 elems = group_elements(g)
                 if elems:
-                    self.units.append(("perms", elems))
+                    units.append(("perms", elems))
+        return units
 
     def propagate(self, fs: FixState) -> bool:
         """One pass over the symmetry units, extending ``fs`` in place;
@@ -252,7 +300,7 @@ class _SymmetryEngine:
 
 
 class _RowIndex:
-    """Per-solve row data for :func:`_row_propagate`.
+    """A program's row data for :func:`_row_propagate`.
 
     ``rows[r]`` is ``(terms, is_eq, rhs)``; a term is ``(entry, coeff,
     min(coeff, 0), max(coeff, 0), |coeff|, w)``, w the entry's value at
@@ -475,15 +523,24 @@ def solve(bp: BinaryProgram, settings: Settings = Settings()) -> SolveResult:
     them is not a symmetry of ``bp``: propagating it would cut off optimal
     solutions, so the reported optimum or infeasibility would be wrong.
     Also raises it when the objective no longer has n entries.
+
+    The set-up (generator check, relabeling, row index, symmetry units) is
+    kept on ``bp`` and reused while its n, objective, rows and generators
+    compare equal, so a repeated solve's ``wall_time`` leaves it out.
     """
     t0 = time.perf_counter()
     if len(bp.objective) != bp.n:   # fields stay mutable after construction
         raise ValueError("objective length != n")
     if settings.mode != "nosym":
         bp.check_generators()
-    work, plan = _relabel_program(bp, settings.relabel)
+    labelings = _SetUp.of(bp).labelings
+    if settings.relabel not in labelings:
+        work, plan = _relabel_program(bp, settings.relabel)
+        labelings[settings.relabel] = (None if work is bp else work, plan,
+                                       _RowIndex(work))
+    work, plan, rows = labelings[settings.relabel]
+    work = bp if work is None else work
     engine = _SymmetryEngine(work, settings)
-    rows = _RowIndex(work)
     n = work.n
     best_obj: Optional[float] = None
     best_x: Optional[Tuple[int, ...]] = None

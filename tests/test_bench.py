@@ -291,6 +291,20 @@ class TestExperiment:
             == [(r.instance, r.mode, r.status, r.nodes)
                 for r in parallel.rows]
 
+    def test_parallel_matches_serial_on_a_solved_instance(self):
+        # The workers get the program with the set-up its serial solves
+        # left on it.
+        inst = [gen_snark(3)]
+        grid = (["nosym", "gen", "peek"], ["original", "respect"])
+        serial = run_experiment(inst, *grid)
+        parallel = run_experiment(inst, *grid, jobs=2)
+
+        def counts(rep):
+            return [(r.instance, r.mode, r.relabel, r.status, r.nodes,
+                     r.sym_fixings) for r in rep.rows]
+
+        assert counts(parallel) == counts(serial)
+
     def test_no_more_workers_than_cells(self, monkeypatch):
         started = []
 

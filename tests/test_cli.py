@@ -39,6 +39,20 @@ class TestSolveCommand:
         assert rc == cli.EXIT_OK
         assert "objective: 5" in out
 
+    def test_generators_are_checked_once(self, snark3, monkeypatch):
+        calls = []
+        check = BinaryProgram._is_symmetry
+
+        def counted(bp, perm, *args):
+            calls.append(perm)
+            return check(bp, perm, *args)
+
+        monkeypatch.setattr(BinaryProgram, "_is_symmetry", counted)
+        rc = cli.main(["solve", "--instance", snark3, "--mode", "peek",
+                       "--relabel", "respect"])
+        assert rc == cli.EXIT_INFEASIBLE
+        assert calls == gen_snark(3)[1].generators
+
     def test_timelimit_exit_code(self, snark3):
         rc = cli.main(["solve", "--instance", snark3, "--mode", "nosym",
                        "--time-limit", "0"])

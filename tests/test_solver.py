@@ -1,6 +1,9 @@
+import copy
 import functools
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -774,3 +777,103 @@ class TestUndeclaredSymmetry:
             bp.check_generators()
         bp.generators.pop()
         bp.check_generators()
+
+
+def _outcome(bp, mode, rl):
+    """A solve's answer and search counts, or the ValueError it raised."""
+    try:
+        r = solve(bp, Settings(mode=mode, relabel=rl))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return (r.status, r.objective, r.incumbent, r.nodes, r.sym_fixings)
+
+
+CELLS = [(mode, rl) for mode in MODES for rl in RELABELS]
+
+
+class TestSetUpReuse:
+    """A program keeps its set-up across solves while its content is
+    unchanged; reusing it must never change an answer or a count."""
+
+    def test_any_order_matches_a_fresh_program(self):
+        rng = random.Random(2525)
+        for _ in range(100):
+            pristine = planted_symmetric_bp(rng, rng.randint(4, 9))
+            bp = copy.deepcopy(pristine)
+            cells = CELLS[:]
+            rng.shuffle(cells)
+            for k, (mode, rl) in enumerate(cells):
+                assert _outcome(bp, mode, rl) == \
+                    _outcome(copy.deepcopy(pristine), mode, rl), (mode, rl)
+                if k == 0:
+                    record = bp._setup
+            # every solve after the first reused the first one's record
+            assert bp._setup is record
+            assert set(record.labelings) == set(RELABELS)
+
+    def test_mutation_after_a_solve_starts_afresh(self):
+        rng = random.Random(2526)
+
+        def bump_moved_entry(bp):
+            i = next(i for i, j in enumerate(bp.generators[0].image)
+                     if i != j)
+            bp.objective[i] += 1.0
+
+        def scale_objective(bp):
+            for i, c in enumerate(bp.objective):
+                bp.objective[i] = 3.0 * c + 1.0
+
+        def replace_row(bp):
+            k = rng.randrange(len(bp.rows))
+            bp.rows[k] = Row.make({rng.randrange(bp.n): 1.0}, "<=", 0.0)
+
+        def reassign_rows(bp):
+            bp.rows = []
+
+        def append_non_symmetry(bp):
+            while True:
+                g = rand_perm(rng, bp.n)
+                if not bp.check_symmetry(g):
+                    break
+            bp.generators.append(g)
+            with pytest.raises(ValueError, match="generator 2"):
+                solve(bp, Settings(mode="gen"))
+
+        mutations = (bump_moved_entry, scale_objective, replace_row,
+                     reassign_rows, append_non_symmetry)
+        tally = {"ValueError": 0, "moved": 0, "same": 0}
+        for _ in range(20):
+            pristine = planted_symmetric_bp(rng, rng.randint(4, 8))
+            for mutate in mutations:
+                bp = copy.deepcopy(pristine)
+                before = {cell: _outcome(bp, *cell) for cell in CELLS}
+                mutate(bp)
+                fresh = BinaryProgram(bp.n, list(bp.objective),
+                                      list(bp.rows), list(bp.names),
+                                      list(bp.generators))
+                cells = CELLS[:]
+                rng.shuffle(cells)
+                for cell in cells:
+                    got = _outcome(bp, *cell)
+                    assert got == _outcome(fresh, *cell), (mutate, cell)
+                    tally["ValueError" if got[0] == "ValueError" else
+                          "same" if got == before[cell] else "moved"] += 1
+        assert min(tally.values()) >= 100, tally
+
+    def test_program_dies_with_its_last_reference(self):
+        # The record refers to derived objects only, never back to its
+        # program, so refcounting frees both without the cyclic collector.
+        gc.collect()
+        gc.disable()
+        try:
+            for make in (lambda: gen_snark(3)[1],
+                         lambda: planted_symmetric_bp(random.Random(7), 8)):
+                bp = make()
+                for mode, rl in CELLS:
+                    solve(bp, Settings(mode=mode, relabel=rl))
+                assert set(bp._setup.labelings) == set(RELABELS)
+                ref = weakref.ref(bp)
+                del bp
+                assert ref() is None
+        finally:
+            gc.enable()
