@@ -6,15 +6,24 @@ handling is pure node-local propagation in one of five modes (listed below).
 
 :func:`node_propagate` holds the one fixpoint loop over propagators: each
 turn runs the row queue, then one pass over the symmetry units, and stops
-after a pass that fixes nothing.  Row propagation is event-driven.  A
-per-solve index (:class:`_RowIndex`) maps each variable and value to the
-rows whose activity bounds that fixing tightens.  A row that the fixing
-alone decides (a set-packing row when an entry goes to 1, say) is settled
-on the spot: its other terms are fixed directly, or the row is violated.
-A queue rechecks the other rows a fixing tightened.  A search child
-differs from its parent's fixpoint by its branching fixing alone, so its
-rows start from the rows that fixing tightens; a later turn's start from
-the rows the symmetry pass's fixings tighten.
+after a pass that fixes nothing.  Row propagation is event-driven.  An
+index made once per program set-up (:class:`_RowIndex`) maps each
+variable and value to the rows whose activity bounds that fixing
+tightens, in three kinds:
+
+- implications: for the rows that the fixing alone decides (a set-packing
+  row when an entry goes to 1, say), the union of their other entries at
+  their values at min activity, which the fixing fixes directly, or finds
+  the rows violated;
+- clause rows (``==`` rows whose coefficients and rhs are all 1, such as
+  set-partitioning rows) for a fixing to 0: a scan of the row's entries
+  finds it satisfied, violated, or with one free entry, which it fixes
+  to 1;
+- the other rows, which a queue rechecks by their activities.
+
+A search child differs from its parent's fixpoint by its branching fixing
+alone, so its rows start from the rows that fixing tightens; a later
+turn's start from the rows the symmetry pass's fixings tighten.
 A unit of explicit permutations runs only when :func:`fixes_nothing` does
 not certify it: if both fills of the current fixings (free entries all 0,
 and all 1) are lex-leaders under the unit, every free entry takes both
@@ -182,7 +191,13 @@ class _SetUp:
     at, its symmetry units by shape, and per relabeling strategy the
     relabeled program (None: the program itself, which keeps its units),
     plan and :class:`_RowIndex`.  A search reads it and writes only the
-    lazy caches of its permutations and cyclic groups."""
+    lazy caches of its permutations and cyclic groups.
+
+    The token holds the objective's number types besides its values: a
+    relabeled program copies the objective's numbers and the reported
+    objective sums them, so after ``1.0`` is replaced by ``1`` a solve
+    must not reuse the old copy.  The rows' numbers reach only fixings,
+    which equal values decide."""
 
     __slots__ = ("token", "tol", "units", "labelings")
 
@@ -194,8 +209,8 @@ class _SetUp:
     @staticmethod
     def of(bp: BinaryProgram) -> "_SetUp":
         """bp's record, a new one when bp's content no longer matches."""
-        token = (bp.n, tuple(bp.objective), tuple(bp.rows),
-                 tuple(bp.generators))
+        token = (bp.n, tuple(bp.objective), tuple(map(type, bp.objective)),
+                 tuple(bp.rows), tuple(bp.generators))
         rec = getattr(bp, "_setup", None)
         if rec is None or rec.token != token:
             rec = bp._setup = _SetUp(token)
@@ -306,16 +321,20 @@ class _RowIndex:
     min(coeff, 0), max(coeff, 0), |coeff|, w)``, w the entry's value at
     min activity.  A fixing of i to v tightens a row when it raises the
     row's min activity (coeff > 0 for v = 1, < 0 for v = 0) or lowers an
-    ``==`` row's max activity (the other sign).  Each such row is listed
-    once for (i, v):
+    ``==`` row's max activity (the other sign).  Each such row is handled
+    in one of three ways at (i, v):
 
-    - ``settle[v][i]``, as its ``terms``, when that fixing alone decides
-      the row: every other term is then forced to its value at min
-      activity, and the row holds at that activity;
-    - ``wake[v][i]``, as its index, otherwise.
+    - *settled*, when that fixing alone decides the row: every other term
+      is then forced to its value at min activity, and the row holds at
+      that activity.  ``settle[v][i]`` is one pair ``(zeros, ones)``, the
+      union over every row that i = v settles of the row's other entries
+      whose value at min activity is 0, and of those whose value is 1;
+    - *clause*, for v = 0 in a clause row, an ``==`` row whose coeffs and
+      rhs are all 1: ``clause[i]`` holds the tuple of the row's entries;
+    - *woken* otherwise: ``wake[v][i]`` holds the row's index.
 
     An exact ``<=`` row whose max activity is at most its rhs can never
-    force an entry or fail, so it is in neither list.
+    force an entry or fail, so it is in no list.
 
     The settle test is closed-form.  With ``lo`` the min activity once i
     is at v, the row settles when ``lo <= rhs`` (``== rhs`` for ``==``
@@ -323,23 +342,28 @@ class _RowIndex:
     ``lo + min |coeff_j| > rhs`` over j != i.  Only *exact* rows settle:
     an integral rhs and coeffs, with sum |coeff| + |rhs| < 2**53, so every
     partial sum is exact and ``lo`` is the pop's min activity in any order.
+    A clause row settles on every 1-fixing and never on a 0-fixing.
     """
 
-    __slots__ = ("rows", "wake", "settle")
+    __slots__ = ("rows", "wake", "settle", "clause")
 
     def __init__(self, bp: BinaryProgram):
         self.rows: List[Tuple[tuple, bool, float]] = []
         n = bp.n
         self.wake = ([[] for _ in range(n)], [[] for _ in range(n)])
-        self.settle = ([[] for _ in range(n)], [[] for _ in range(n)])
-        wake, settle = self.wake, self.settle
+        empty = ((), ())
+        self.settle = ([empty] * n, [empty] * n)
+        self.clause: List[tuple] = [()] * n
+        wake, settle, clause = self.wake, self.settle, self.clause
         for r, row in enumerate(bp.rows):
             is_eq, rhs = row.sense == "==", row.rhs
             # slack: rhs minus the min activity; top: the max activity;
-            # least and second: the two smallest |coeff|.
+            # least and second: the two smallest |coeff|; unit: every
+            # coeff is 1.
             terms = []
             slack, top, size, exact = rhs, 0.0, abs(rhs), rhs % 1 == 0
             least = second = float("inf")
+            unit = is_eq and rhs == 1
             for i, a in row.coeffs:
                 mag = abs(a)
                 if a < 0:
@@ -350,6 +374,7 @@ class _RowIndex:
                     terms.append((i, a, 0.0, a, mag, 0))
                 size += mag
                 exact = exact and mag % 1 == 0
+                unit = unit and a == 1
                 if mag < second:
                     least, second = (mag, least) if mag < least else \
                         (least, mag)
@@ -358,21 +383,33 @@ class _RowIndex:
             exact = exact and size < 2 ** 53
             if exact and not is_eq and top <= rhs:
                 continue        # the row never binds
+            entries = tuple(t[0] for t in terms) if unit else None
             for i, a, _amin, _amax, mag, w in terms:
                 if not a:
                     continue    # tightens nothing
                 other = second if mag == least else least
-                # At 1 - w, i raises the min activity by mag.
+                # At 1 - w, i raises the min activity by mag; at w, it
+                # lowers an '==' row's max activity.  At most one of the
+                # two settles the row: the first needs slack >= mag > 0,
+                # the second slack == 0.
                 if exact and mag <= slack < mag + other and \
                         (slack == mag or not is_eq):
-                    settle[1 - w][i].append(terms)
+                    v = 1 - w
                 else:
                     wake[1 - w][i].append(r)
-                if is_eq:       # at w, i lowers the max activity
-                    if exact and slack == 0 < other:
-                        settle[w][i].append(terms)
+                    v = w if is_eq and exact and slack == 0 < other else -1
+                if is_eq and v != w:
+                    if unit:
+                        clause[i] += (entries,)
                     else:
                         wake[w][i].append(r)
+                if v >= 0:
+                    pair = settle[v][i]
+                    if pair is empty:
+                        pair = settle[v][i] = ([], [])
+                    for j, _b, _bmin, _bmax, _bmag, u in terms:
+                        if j != i and j not in pair[u]:
+                            pair[u].append(j)
 
 
 def _row_propagate(index: _RowIndex, fs: FixState,
@@ -382,23 +419,36 @@ def _row_propagate(index: _RowIndex, fs: FixState,
     Event-driven.  A stack holds the new fixings and a queue the rows to
     (re)check.  The stack starts with the entries of ``wake``, at their
     values in ``fs`` (every fixed entry, and every row queued, when
-    ``wake`` is None).  Handling a fixing of i to v first walks
-    ``settle[v][i]``: each other term of such a row is fixed to its value
-    at min activity, or, when already at the other value, the row is
-    violated.  It then queues ``wake[v][i]``.  A pop that fixes entries
-    pushes them, and the stack is drained before the next pop.
+    ``wake`` is None).  Handling a fixing of i to v:
 
-    A fixing leaves every rule of a row it does not tighten as it was, and
-    a settled row is fully fixed at an activity that meets it, so no rule
-    of it is pending.  The rules only fire more as fixings grow, so the
-    loop ends at the same fixpoint as rescanning every row until a pass
-    changes nothing.  The caller may seed with just the entries fixed
-    since the rows were last at a fixpoint.  A popped row's free term is
-    forced when its other value would lift the min activity above the rhs
-    (``lo + |a|``) or, in an ``==`` row, drop the max activity below it
-    (``hi - |a|``).
+    - for v = 0, scans each clause row of i: an entry at 1 satisfies it;
+      with no entry free it is violated; with one free, that entry is
+      fixed to 1;
+    - fixes the entries of ``settle[v][i]``, or finds the rows violated
+      when one of them is at its other value;
+    - queues ``wake[v][i]``.
+
+    A pop that fixes entries pushes them, and the stack is drained before
+    the next pop.  A popped row's free term is forced when its other value
+    would lift the min activity above the rhs (``lo + |a|``) or, in an
+    ``==`` row, drop the max activity below it (``hi - |a|``).
+
+    The loop ends at the same fixpoint as rescanning every row until a
+    pass changes nothing.  The rules only fire more as fixings grow, and a
+    fixing leaves every rule of a row it does not tighten as it was.  A
+    woken row is popped after the last fixing that tightened it.  A
+    settled row is fully fixed at an activity that meets it, so no rule of
+    it is pending.  A clause row's rules are the pop's rules at its final
+    state: every entry fixing is pushed and each push is popped, and the
+    last pop among the row's entries sees every entry at its final value.
+    If an entry is at 1, its pop has applied ``lo + 1 > rhs`` (the others
+    at 0) through its settle pair.  Otherwise that last pop is of a
+    0-fixing, and its scan applies ``hi - 1 < rhs`` (the one free entry
+    at 1, or none free: violated).  The caller may seed with just the
+    entries fixed since the rows were last at a fixpoint.
     """
-    rows, lists, settle = index.rows, index.wake, index.settle
+    rows, lists, settle, clause = \
+        index.rows, index.wake, index.settle, index.clause
     f0, f1 = fs.fixed0, fs.fixed1
     if wake is None:
         queue = list(range(len(rows) - 1, -1, -1))
@@ -412,18 +462,42 @@ def _row_propagate(index: _RowIndex, fs: FixState,
         while stack:
             i = stack.pop()
             v = i in f1
-            for terms in settle[v][i]:
-                for j, _a, _amin, _amax, _mag, w in terms:
-                    if j in f0 or j in f1:
-                        if j != i and (j in f1) != w:
+            if not v:
+                for entries in clause[i]:
+                    free = -1
+                    for j in entries:
+                        if j in f1:
+                            break       # satisfied
+                        if j not in f0:
+                            if free >= 0:
+                                break   # two free: nothing to force
+                            free = j
+                    else:
+                        if free < 0:
                             return False
-                        continue
-                    (f1 if w else f0).add(j)
-                    stack.append(j)
-            for r in lists[v][i]:
-                if not queued[r]:
-                    queued[r] = 1
-                    queue.append(r)
+                        f1.add(free)
+                        stack.append(free)
+            zeros, ones = settle[v][i]
+            if zeros:
+                for j in zeros:
+                    if j in f1:
+                        return False
+                    if j not in f0:
+                        f0.add(j)
+                        stack.append(j)
+            if ones:
+                for j in ones:
+                    if j in f0:
+                        return False
+                    if j not in f1:
+                        f1.add(j)
+                        stack.append(j)
+            rs = lists[v][i]
+            if rs:
+                for r in rs:
+                    if not queued[r]:
+                        queued[r] = 1
+                        queue.append(r)
         if not queue:
             return True
         r = queue.pop()
@@ -542,6 +616,7 @@ def solve(bp: BinaryProgram, settings: Settings = Settings()) -> SolveResult:
     work = bp if work is None else work
     engine = _SymmetryEngine(work, settings)
     n = work.n
+    gains = [(i, c) for i, c in enumerate(work.objective) if c > 0]
     best_obj: Optional[float] = None
     best_x: Optional[Tuple[int, ...]] = None
     nodes = 0
@@ -560,8 +635,7 @@ def solve(bp: BinaryProgram, settings: Settings = Settings()) -> SolveResult:
         f0, f1 = fs.fixed0, fs.fixed1
         if best_obj is not None:  # the bound only prunes against one
             bound = sum(work.objective[i] for i in f1) + \
-                sum(c for i, c in enumerate(work.objective)
-                    if c > 0 and i not in f0 and i not in f1)
+                sum(c for i, c in gains if i not in f0 and i not in f1)
             if bound <= best_obj + EPS:
                 continue
         # The parent branched on its lowest unfixed entry, so every entry

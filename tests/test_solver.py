@@ -287,29 +287,37 @@ def _rand_rows_bp(rng, n):
     return simple_bp(n, rows)
 
 
-def _settled_rows(index):
-    """``index.settle`` with each row's terms replaced by the row's index."""
-    row_of = {id(terms): r for r, (terms, _eq, _rhs) in enumerate(index.rows)}
-    return tuple([[row_of[id(t)] for t in entries] for entries in lists]
-                 for lists in index.settle)
+def _layout(index):
+    """``(wake, settle, clause)`` of an index as plain lists: each settle
+    pair as its two lists, sorted, and each clause list as a list."""
+    settle = tuple([(sorted(zeros), sorted(ones)) for zeros, ones in pairs]
+                   for pairs in index.settle)
+    return index.wake, settle, [list(rows) for rows in index.clause]
 
 
 def _index_reference(bp):
-    """``(wake, settle)`` of :class:`_RowIndex` from their definitions,
-    both as lists of row indices.
+    """``(wake, settle, clause)`` of :class:`_RowIndex` from their
+    definitions, laid out as :func:`_layout` lays out an index.
 
     Fixing i to v tightens a row when it raises the row's min activity, or
     lowers an '==' row's max activity.  It settles the row when the row is
     exact and, with i at v, the row's one satisfying 0/1 completion puts
-    every other term at its value at min activity; every other tightened
-    row is woken.  An exact row that every 0/1 point satisfies is in
-    neither list.
+    every other term at its value at min activity; each such term j at its
+    value w is an implication i = v => j = w, and ``settle[v][i]`` is the
+    pair (the j with w = 0, the j with w = 1) over all of them.  A clause
+    row is an '==' row whose coeffs and rhs are all 1; fixing one of its
+    entries to 0 lists the row's entries in ``clause``.  Every other
+    tightened row is woken.  An exact row that every 0/1 point satisfies
+    is in no list.
     """
     wake = tuple([[] for _ in range(bp.n)] for _ in (0, 1))
-    settle = tuple([[] for _ in range(bp.n)] for _ in (0, 1))
+    implied = tuple([(set(), set()) for _ in range(bp.n)] for _ in (0, 1))
+    clause = [[] for _ in range(bp.n)]
     for r, row in enumerate(bp.rows):
         exact = all(x % 1 == 0 for x in (row.rhs,) + tuple(
             a for _i, a in row.coeffs))
+        is_clause = row.sense == "==" and row.rhs == 1 and all(
+            a == 1 for _i, a in row.coeffs)
 
         def holds(act, row=row):
             return act == row.rhs if row.sense == "==" else act <= row.rhs
@@ -329,41 +337,77 @@ def _index_reference(bp):
                         if holds(a * v + sum(b * y for (_j, b), y in
                                              zip(others, x)))]
                 if exact and fits == [at_min]:
-                    settle[v][i].append(r)
+                    for (j, _b), w in zip(others, at_min):
+                        implied[v][i][w].add(j)
+                elif is_clause and v == 0:
+                    clause[i].append(tuple(j for j, _b in row.coeffs))
                 else:
                     wake[v][i].append(r)
-    return wake, settle
+    settle = tuple([(sorted(zeros), sorted(ones)) for zeros, ones in pairs]
+                   for pairs in implied)
+    return wake, settle, clause
 
 
-class _SettleSpy:
-    """Wraps the settle entries of an index, so that :meth:`run` tells
-    whether a settle walk fixed an entry and whether one found the row
-    violated (the run returned False in the middle of a walk)."""
+class _Spy:
+    """Wraps the settle pairs and clause rows of an index, so that
+    :meth:`run` tells whether a settle walk fixed an entry or found a
+    clash (the run returned False in the middle of a walk), and whether a
+    clause scan forced an entry or found its row violated (the run
+    returned False right after a scan that went through the whole row and
+    found no entry free)."""
 
     def __init__(self, index):
         self.fs = None
-        self.fixed = self.walking = self.conflict = False
         spy = self
 
-        class Terms(tuple):
+        class Walk(list):
             def __iter__(self):
-                spy.walking = True
-                for t in tuple.__iter__(self):
-                    free = not spy.fs.is_fixed(t[0])
-                    yield t
-                    spy.fixed |= free and spy.fs.is_fixed(t[0])
-                spy.walking = False
+                spy._event("walk")
+                for j in list.__iter__(self):
+                    free = not spy.fs.is_fixed(j)
+                    yield j
+                    spy.settle_fixed |= free and spy.fs.is_fixed(j)
+                spy.last = None
+
+        class Scan(tuple):
+            def __iter__(self):
+                spy._event(None)
+                yield from tuple.__iter__(self)
+                # The handler saw no entry at 1 and at most one free.
+                spy.last = "scanned"
+                spy.free = [j for j in tuple.__iter__(self)
+                            if not spy.fs.is_fixed(j)]
 
         self.index = index
-        for lists in index.settle:
-            for entries in lists:
-                entries[:] = map(Terms, entries)
+        for pairs in index.settle:
+            pairs[:] = [(Walk(zeros), Walk(ones)) for zeros, ones in pairs]
+        index.clause[:] = [tuple(map(Scan, rows)) for rows in index.clause]
+
+    def _event(self, kind):
+        if self.last == "scanned":
+            self.clause_forced |= any(map(self.fs.is_fixed, self.free))
+        self.last = kind
 
     def run(self, fs, seed=None):
-        self.fs, self.fixed, self.walking = fs, False, False
+        self.fs, self.last = fs, None
+        self.settle_fixed = self.clause_forced = False
         ok = _row_propagate(self.index, fs, seed)
-        self.conflict = not ok and self.walking
+        self.settle_conflict = not ok and self.last == "walk"
+        self.clause_conflict = not ok and self.last == "scanned" and \
+            not self.free
+        self._event(None)
         return ok
+
+    def tally(self, counts):
+        for name in ("settle_fixed", "settle_conflict", "clause_forced",
+                     "clause_conflict"):
+            counts[name] += getattr(self, name)
+
+
+def _clause_row(rng, n):
+    """x_a + x_b + ... == 1 over 1-4 entries: a clause row."""
+    return Row.make({i: 1.0 for i in rng.sample(range(n), rng.randint(
+        1, min(4, n)))}, "==", 1.0)
 
 
 class TestRowQueue:
@@ -377,7 +421,9 @@ class TestRowQueue:
     def test_randomized_equivalence(self):
         rng = random.Random(20221)
         cases = fixing = infeasible = children = mixed = neg_eq = 0
-        settle_fixed = settle_conflict = inexact = 0
+        inexact = 0
+        counts = dict.fromkeys(("settle_fixed", "settle_conflict",
+                                "clause_forced", "clause_conflict"), 0)
         while cases < 600:
             n = rng.randint(2, 12)
             bp = _rand_rows_bp(rng, n)
@@ -388,10 +434,11 @@ class TestRowQueue:
                 bp.rows.append(Row.make(
                     {i: (1.0, -1.0)[k % 2] for k, i in enumerate(ends)},
                     "==", 0.0))
+            if cases % 3:
+                bp.rows.append(_clause_row(rng, n))
             index = _RowIndex(bp)
-            assert (index.wake, _settled_rows(index)) == \
-                _index_reference(bp), bp
-            spy = _SettleSpy(index)
+            assert _layout(index) == _index_reference(bp), bp
+            spy = _Spy(index)
             inexact += any(row.rhs % 1 or any(a % 1 for _i, a in row.coeffs)
                            for row in bp.rows)
             fs = FixState(n)
@@ -400,8 +447,7 @@ class TestRowQueue:
             want = self._outcome(lambda f: _full_rescan_reference(bp, f), fs)
             got = self._outcome(spy.run, fs)
             assert got == want, (bp, fs)
-            settle_fixed += spy.fixed
-            settle_conflict += spy.conflict
+            spy.tally(counts)
             cases += 1
             if not want[0]:
                 infeasible += 1
@@ -410,7 +456,7 @@ class TestRowQueue:
                 fixing += 1
             # Children of the fixpoint: one branching fixing, then several
             # new entries of mixed values as the symmetry pass adds them,
-            # each seeded from the seeded entries' wake lists only.
+            # each seeded from the seeded entries' lists only.
             parent = FixState(n, want[1], want[2])
             free = parent.unfixed()
             for k in (1, rng.randint(2, 4)):
@@ -425,8 +471,7 @@ class TestRowQueue:
                     lambda f: _full_rescan_reference(bp, f), child)
                 got = self._outcome(lambda f: spy.run(f, seed), child)
                 assert got == want, (bp, child, seed)
-                settle_fixed += spy.fixed
-                settle_conflict += spy.conflict
+                spy.tally(counts)
                 children += 1
                 mixed += bool(child.fixed0 & set(seed)) and \
                     bool(child.fixed1 & set(seed))
@@ -436,22 +481,28 @@ class TestRowQueue:
         # mixed-value seeds and seeds in '==' rows with negative coeffs.
         assert fixing >= 150 and infeasible >= 100 and children >= 250
         assert mixed >= 120 and neg_eq >= 80, (mixed, neg_eq)
-        # ... and settle walks that fix entries or find a conflict, and
-        # programs with a row that is not exact, which never settles.
-        assert settle_fixed >= 60 and settle_conflict >= 5, \
-            (settle_fixed, settle_conflict)
+        # ... settle walks that fix entries or find a clash, clause scans
+        # that force an entry or find the row violated, and programs with
+        # a row that is not exact, which never settles.
+        assert counts["settle_fixed"] >= 60 and \
+            counts["settle_conflict"] >= 5, counts
+        assert counts["clause_forced"] >= 30 and \
+            counts["clause_conflict"] >= 20, counts
         assert inexact >= 400, inexact
 
-        # The rows of a flower snark settle; halved, every coeff is 0.5, no
-        # row is exact, none settles, and the queue alone reaches the same
-        # fixpoints.
+        # The rows of a flower snark settle or are clause rows; halved,
+        # every coeff is 0.5, no row is exact or a clause row, none
+        # settles, and the queue alone reaches the same fixpoints.
         _, bp = gen_snark(3)
         half = simple_bp(bp.n, [
             Row.make({i: a * 0.5 for i, a in row.coeffs}, row.sense,
                      row.rhs * 0.5) for row in bp.rows])
         index, index_half = _RowIndex(bp), _RowIndex(half)
-        assert any(index.settle[1])
-        assert not any(any(lists) for lists in index_half.settle)
+        assert any(zeros for zeros, _ones in index.settle[1])
+        assert any(index.clause)
+        assert not any(zeros or ones for pairs in index_half.settle
+                       for zeros, ones in pairs)
+        assert not any(index_half.clause)
         rng = random.Random(20222)
         feasible = 0
         for _ in range(200):
@@ -473,15 +524,107 @@ class TestRowQueue:
                 feasible += want[0]
         assert feasible >= 100
 
+    def test_dfs_sequences_match_the_full_rescan(self):
+        # Random search paths, branched as solve branches: the 1-child is
+        # a copy of the node, the 0-child takes over the node's state, and
+        # each child is seeded with its branching entry alone.  Every
+        # node's fixings equal the full rescan's.  The programs mix clause
+        # rows (single-term x_a == 1 among them), packing pairs, general
+        # rows, '==' rows with a negative coeff and '==' rows with rhs 1
+        # and a coeff of 2; the last two kinds are no clause rows, so
+        # their 0-fixings stay on the queue.
+        rng = random.Random(20261)
+        nodes = infeasible = single = 0
+        counts = dict.fromkeys(("settle_fixed", "settle_conflict",
+                                "clause_forced", "clause_conflict"), 0)
+        for _ in range(300):
+            n = rng.randint(3, 12)
+            rows = [_clause_row(rng, n) for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(0, 4)):
+                rows.append(Row.make(dict.fromkeys(rng.sample(range(n), 2),
+                                                   1.0), "<=", 1.0))
+            rows += _rand_rows_bp(rng, n).rows[:2]
+            queued = []
+            for coeffs, rhs in (((1.0, -1.0), 0.0),
+                                ((-1.0, -1.0, -1.0), -1.0),
+                                ((2.0, 1.0, 1.0), 1.0)):
+                if rng.random() < 0.5:
+                    queued.append(Row.make(dict(zip(rng.sample(
+                        range(n), len(coeffs)), coeffs)), "==", rhs))
+            rows += queued
+            rng.shuffle(rows)
+            bp = simple_bp(n, rows)
+            index = _RowIndex(bp)
+            assert _layout(index) == _index_reference(bp), bp
+            single += any(len(row.coeffs) == 1 and row.sense == "=="
+                          for row in bp.rows)
+            assert sum(map(len, index.clause)) == sum(
+                len(row.coeffs) for row in bp.rows
+                if row.sense == "==" and row.rhs == 1 and
+                all(a == 1 for _i, a in row.coeffs))
+            for row in queued:
+                r = bp.rows.index(row)
+                assert any(r in index.wake[0][i] for i, _a in row.coeffs)
+            spy = _Spy(index)
+            stack = [(FixState(n), None)]
+            for _ in range(60):
+                if not stack:
+                    break
+                fs, branched = stack.pop()
+                seed = None if branched is None else (branched,)
+                want = self._outcome(
+                    lambda f: _full_rescan_reference(bp, f), fs)
+                ok = spy.run(fs, seed)
+                assert ((ok, fs.fixed0, fs.fixed1) if ok else (ok,)) == \
+                    want, (bp, branched)
+                spy.tally(counts)
+                nodes += 1
+                if not ok:
+                    infeasible += 1
+                    continue
+                free = fs.unfixed()
+                if not free:
+                    continue
+                i = rng.choice(free)
+                one = fs.copy()
+                one.fixed1.add(i)
+                fs.fixed0.add(i)
+                children = [(fs, i), (one, i)]
+                rng.shuffle(children)
+                stack += children
+        assert nodes >= 2500 and infeasible >= 200, (nodes, infeasible)
+        assert single >= 120, single
+        assert min(counts.values()) >= 40, counts
+
+    @pytest.mark.parametrize("m", (5, 7))
+    def test_snark_rows_never_reach_the_queue_below_the_root(self, m):
+        # Every row of a flower snark is a packing pair, settled by a
+        # 1-fixing, or an edge's partition row, a clause row: no fixing
+        # wakes a row.  Each colour's 1-fixing implies 0 for the edge's
+        # two other colours and for the colour on the 4 adjacent edges.
+        _, bp = gen_snark(m)
+        index = _RowIndex(bp)
+        assert not any(any(lists) for lists in index.wake)
+        partition = [tuple(i for i, _a in row.coeffs) for row in bp.rows
+                     if row.sense == "=="]
+        assert len(partition) == bp.n // 3
+        for entries in partition:
+            for i in entries:
+                assert index.clause[i] == (entries,)
+        assert [len(zeros) for zeros, _ones in index.settle[1]] == \
+            [6] * bp.n
+        assert not any(ones for _zeros, ones in index.settle[1])
+        assert not any(zeros or ones for zeros, ones in index.settle[0])
+
     def test_child_seed_wakes_only_the_branching_rows(self):
         bp = simple_bp(4, [Row.make({0: 1.0, 1: 1.0}, "<=", 1.0),
                            Row.make({2: 1.0, 3: 1.0}, "<=", 1.0)])
         index = _RowIndex(bp)
         # A 1-fixing settles its packing row: no row is left to wake.
-        row0, row1 = index.rows[0][0], index.rows[1][0]
-        assert index.wake == ([[], [], [], []], [[], [], [], []])
-        assert index.settle == ([[], [], [], []],
-                                [[row0], [row0], [row1], [row1]])
+        assert _layout(index) == (
+            ([[], [], [], []], [[], [], [], []]),
+            ([([], [])] * 4, [([1], []), ([0], []), ([3], []), ([2], [])]),
+            [[], [], [], []])
         # x2 = 1 is not a fixpoint of row 1, but only x0's rows are settled.
         fs = FixState(4, set(), {0, 2})
         assert _row_propagate(index, fs, (0,))
@@ -489,34 +632,49 @@ class TestRowQueue:
         assert _row_propagate(index, fs)
         assert fs.fixed0 == {1, 3}
 
-    # A row over x0, x1, x2 with one coefficient, whether fixing x0 to 0
-    # and to 1 tightens it, and whether that fixing alone settles it.  A
-    # tightened row is settled or queued, never both.
-    @pytest.mark.parametrize("sense, coeff, rhs, tightens, settles", [
-        ("<=", 1.0, 1.0, (False, True), (False, True)),
-        ("<=", -1.0, -2.0, (True, False), (True, False)),
-        ("==", 1.0, 1.0, (True, True), (False, True)),
-        ("==", -1.0, -1.0, (True, True), (False, False)),
+    # A row over x0, x1, x2 with one coefficient, and how a fixing of x0
+    # to 0 and to 1 handles it: None when the fixing does not tighten the
+    # row, else "settle", "clause" or "wake".  A tightened row is handled
+    # in exactly one way.
+    @pytest.mark.parametrize("sense, coeff, rhs, handled", [
+        ("<=", 1.0, 1.0, (None, "settle")),
+        ("<=", -1.0, -2.0, ("settle", None)),
+        ("==", 1.0, 1.0, ("clause", "settle")),
+        ("==", -1.0, -1.0, ("wake", "wake")),
     ], ids=["le-pos", "le-neg", "eq-pos", "eq-neg"])
     def test_a_fixing_queues_the_rows_it_tightens(self, sense, coeff, rhs,
-                                                   tightens, settles):
+                                                   handled):
         index = _RowIndex(simple_bp(3, [
             Row.make({0: coeff, 1: coeff, 2: coeff}, sense, rhs)]))
-        terms = index.rows[0][0]
+        wake, settle, clause = _layout(index)
         for v in (0, 1):
-            queued = tightens[v] and not settles[v]
-            assert index.wake[v][0] == ([0] if queued else [])
-            assert index.settle[v][0] == ([terms] if settles[v] else [])
+            # Settled, x1 and x2 go to their values at min activity.
+            w = int(coeff < 0)
+            assert settle[v][0] == ((([1, 2], []) if w == 0 else
+                                     ([], [1, 2])) if handled[v] == "settle"
+                                    else ([], []))
+            assert clause[0] == ([(0, 1, 2)] if handled[0] == "clause"
+                                 else [])
+            assert wake[v][0] == ([0] if handled[v] == "wake" else [])
             # x0 = v and x1 = 1 - v make the row force x2 in every case,
             # but seeded with x0 alone it does so only when it is settled
-            # or queued.
+            # or queued.  A clause scan applies only the rules of x0 = 0:
+            # with x1 at 1 it forces nothing (x1's own 1-fixing settles
+            # the row), and with x1 at 0 it forces x2 to 1.
             fs = FixState(3)
             (fs.fixed1 if v else fs.fixed0).add(0)
             (fs.fixed0 if v else fs.fixed1).add(1)
             assert _row_propagate(index, fs, (0,))
-            assert fs.is_fixed(2) == tightens[v], (sense, coeff, v)
+            assert fs.is_fixed(2) == (handled[v] in ("settle", "wake")), \
+                (sense, coeff, v)
             assert _row_propagate(index, fs)
             assert fs.is_fixed(2)
+            if handled[v] == "clause":
+                fs = FixState(3, {0, 1})
+                assert _row_propagate(index, fs, (0,))
+                assert fs.fixed1 == {2}
+                fs = FixState(3, {0, 1, 2})
+                assert not _row_propagate(index, fs, (0,))
 
 
 def _nested_loop_reference(fs, engine, rows, branched):
@@ -785,7 +943,8 @@ def _outcome(bp, mode, rl):
         r = solve(bp, Settings(mode=mode, relabel=rl))
     except ValueError as exc:
         return ("ValueError", str(exc))
-    return (r.status, r.objective, r.incumbent, r.nodes, r.sym_fixings)
+    return (r.status, r.objective, type(r.objective), r.incumbent, r.nodes,
+            r.sym_fixings)
 
 
 CELLS = [(mode, rl) for mode in MODES for rl in RELABELS]
@@ -839,8 +998,11 @@ class TestSetUpReuse:
             with pytest.raises(ValueError, match="generator 2"):
                 solve(bp, Settings(mode="gen"))
 
+        def integral_objective(bp):
+            bp.objective[:] = map(int, bp.objective)
+
         mutations = (bump_moved_entry, scale_objective, replace_row,
-                     reassign_rows, append_non_symmetry)
+                     reassign_rows, append_non_symmetry, integral_objective)
         tally = {"ValueError": 0, "moved": 0, "same": 0}
         for _ in range(20):
             pristine = planted_symmetric_bp(rng, rng.randint(4, 8))
@@ -859,6 +1021,21 @@ class TestSetUpReuse:
                     tally["ValueError" if got[0] == "ValueError" else
                           "same" if got == before[cell] else "moved"] += 1
         assert min(tally.values()) >= 100, tally
+
+    def test_a_new_number_type_is_a_new_content(self):
+        # Independent sets of a 4-cycle: the objective 1.0 and the
+        # objective 1 compare equal, but a solve reports a sum of the
+        # program's own numbers, as a fresh program's solve does.
+        rows = [Row.make({i: 1.0, (i + 1) % 4: 1.0}, "<=", 1.0)
+                for i in range(4)]
+        gen = Permutation.from_cycles(4, [(1, 2, 3, 4)])
+        bp = simple_bp(4, rows, [gen], objective=[1.0] * 4)
+        settings = Settings(mode="peek", relabel="respect")
+        assert repr(solve(bp, settings).objective) == "2.0"
+        bp.objective[:] = [1, 1, 1, 1]
+        fresh = simple_bp(4, rows, [gen], objective=[1, 1, 1, 1])
+        assert repr(solve(fresh, settings).objective) == "2"
+        assert repr(solve(bp, settings).objective) == "2"
 
     def test_program_dies_with_its_last_reference(self):
         # The record refers to derived objects only, never back to its
