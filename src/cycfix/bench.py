@@ -25,7 +25,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import InvalidPermutationError, Permutation
@@ -383,7 +383,8 @@ def _run_one(args) -> RunRow:
     name, bp, settings = args
     mode, rl, time_limit = settings.mode, settings.relabel, settings.time_limit
     try:
-        res: SolveResult = solve(bp, settings)
+        # a fresh copy: no set-up record from an earlier cell
+        res: SolveResult = solve(replace(bp), settings)
         t = time_limit if res.status == "timelimit" else res.wall_time
         return RunRow(name, mode, rl, res.status, t,
                       res.nodes, res.sym_fixings, res.sym_time)
@@ -399,7 +400,8 @@ def run_experiment(
     time_limit: Optional[float] = None,
     jobs: int = 1,
 ) -> ExperimentReport:
-    """Full factorial grid; deterministic row order regardless of workers."""
+    """Full factorial grid; deterministic row order regardless of workers.
+    Each cell's time includes its program's set-up, with any ``jobs``."""
     if not instances or not modes or not relabels:
         raise ValueError("experiment grid must be nonempty in every axis")
     if jobs < 1:

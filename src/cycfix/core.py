@@ -204,20 +204,20 @@ class Permutation:
         return "Permutation[n=%d]%s" % (self.n, body)
 
 
-def group_elements(
-    gen: Permutation,
-    max_count: int = 10**4,
-    max_weight: int = 5 * 10**6,
-) -> List[Permutation]:
+MAX_POWERS = 10**4          # group_elements' safeguard caps
+MAX_POWER_WEIGHT = 5 * 10**6
+
+
+def group_elements(gen: Permutation) -> List[Permutation]:
     """Materialize the powers gen^1 .. gen^k, identity excluded.
 
-    k is maximal with k <= order-1, k <= max_count and |supp(gen)| * k
-    <= max_weight.  These caps act as a safeguard against gigantic groups.
+    k is maximal with k <= order-1, k <= MAX_POWERS and |supp(gen)| * k
+    <= MAX_POWER_WEIGHT.
     """
     s = len(gen.support())
     if s == 0:
         return []
-    k = min(gen.order() - 1, max_count, max_weight // s)
+    k = min(gen.order() - 1, MAX_POWERS, MAX_POWER_WEIGHT // s)
     return [gen ** e for e in range(1, k + 1)]
 
 

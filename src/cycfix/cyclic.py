@@ -6,16 +6,16 @@ block to per-permutation completeness, peeks its undecided entries, and
 shrinks the acting subgroup through stabilizer filtering.  A group
 generated by a single monotone cycle (or a subgroup of one) is the case of
 one block; :func:`complete_fix_monotone_group` checks that shape and runs
-the same code.  All peeks go through :func:`peek_entries`, which runs the
-kernel only on a peek that no lex-leader completion certifies, and each
-block first asks :func:`fixes_nothing` whether both fills of the fixings
-certify the rest of the pass, which then stops.  Both take a lex-leader
-test: on the ordered path it is :meth:`CyclicSubgroup.leads`, exact under
-the acting subgroup, which sees each element as a rotation of the vector's
-tuple on each block and builds no permutation.  The private propagators
-extend one :class:`FixState` in place and return False when it is
-infeasible; a peek is added to it and taken back, and only a peek sent to
-the kernel copies it.  The public entries copy their argument.
+the same code, the block loop :func:`_propagate_ordered`.  Each block
+first asks :func:`fixes_nothing` whether both fills of the fixings certify
+the rest of the pass, which then stops; a peek reruns the loop from its
+block as a refutation only when no lex-leader completion certifies it.
+The lex-leader test is :meth:`CyclicSubgroup.leads`, exact under the
+acting subgroup, which sees each element as a rotation of the vector's
+tuple on each block and builds no permutation.  The loop extends one
+:class:`FixState` in place and returns False when it is infeasible; a peek
+is added to it and taken back, and only a refutation copies it.  The
+public entries copy their argument.
 
 A monotone cycle visits its support in sorted order, so its entries behave
 like a rotation of the induced positions; positions outside the support
@@ -241,17 +241,6 @@ def strict_witness(
     return tuple(x)
 
 
-def _feasible_with(elems: Sequence[Permutation], fs: FixState) -> bool:
-    """Extend ``fs`` by its per-permutation completion under the non-empty
-    ``elems``; False when infeasible."""
-    res = propagate_set(elems, fs)
-    if not res.feasible:
-        return False
-    fs.fixed0 |= res.fixed0
-    fs.fixed1 |= res.fixed1
-    return True
-
-
 def complete_fix_monotone_group(
     group: CyclicSubgroup, fixings: FixState
 ) -> PropagationResult:
@@ -293,11 +282,12 @@ def propagate_ordered_monotone(
     (:meth:`CyclicSubgroup.leads` from this block).  Otherwise the
     restricted subgroup's constraints are driven to per-permutation
     completeness; with ``compute_fixings`` the remaining block entries are
-    peeked by :func:`peek_entries`, under the same lex-leader test, whose
-    refutations are feasibility-only calls that inherit the current
-    subgroup and block position.  Afterwards the acting
-    subgroup shrinks to the setwise stabilizer of the block's fixing classes
-    (block fully fixed) or the pointwise stabilizer of the block.
+    peeked under the same lex-leader test, and a peek that no completion
+    certifies is refuted or not by a feasibility-only run of the block
+    loop that inherits the current subgroup and block position.
+    Afterwards the acting subgroup shrinks to the setwise stabilizer of
+    the block's fixing classes (block fully fixed) or the pointwise
+    stabilizer of the block.
 
     Even with ``compute_fixings`` false the per-permutation-complete sets
     are returned: they are valid fixings regardless, and callers that only
@@ -334,12 +324,33 @@ def _propagate_ordered(group: CyclicSubgroup, fs: FixState, first: int,
             break
         block = blocks[c]
         elems = delta.restrict_to_block(block).elements()
-        if elems and not _feasible_with(elems, fs):
-            return False
+        if elems:
+            res = propagate_set(elems, fs)
+            if not res.feasible:
+                return False
+            f0 |= res.fixed0
+            f1 |= res.fixed1
         free = [i for i in block if i not in f0 and i not in f1]
         if compute_fixings and free:
-            peek_entries(free, leads, fs, lambda f:
-                         not _propagate_ordered(delta, f, c, False))
+            # Peek each free entry at 0, then 1.  A peek that the last
+            # lex-leader completion, or the completion with it, agrees with
+            # is feasible; any other goes to a refutation run from block c
+            # on a copy.  Refuted, it fixes the other value; wit stays valid.
+            wit = lex_leader_completion(leads, fs)
+            for i in free:
+                for v, peeked in ((0, f0), (1, f1)):
+                    if wit is not None and wit[i] == v:
+                        continue
+                    peeked.add(i)
+                    x = lex_leader_completion(leads, fs)
+                    refuted = x is None and not _propagate_ordered(
+                        delta, fs.copy(), c, False)
+                    peeked.discard(i)
+                    if x is not None:
+                        wit = x
+                    elif refuted:
+                        (f1 if v == 0 else f0).add(i)
+                        break
         if all(i in f0 or i in f1 for i in block):
             delta = delta.stab_setwise_pair(f0 & set(block), f1 & set(block))
         else:
@@ -390,33 +401,6 @@ def _is_lex_leader(x: List[int], elems: Sequence[Permutation]) -> bool:
                     return False
                 break
     return True
-
-
-def peek_entries(
-    entries: Iterable[int], leads: Callable[[List[int]], bool], fs: FixState,
-    refutes: Callable[[FixState], bool],
-) -> None:
-    """Peek each free entry i at 0, then 1; when ``refutes`` rejects a copy
-    of the fixings plus i = v, fix i = 1 - v in ``fs``.  A peek that the
-    last lex-leader completion (a fill that ``leads`` accepts) or the
-    completion with the peek agrees with is feasible and skips
-    ``refutes``; a refutation leaves the last completion valid.  A peek is
-    made in ``fs`` and taken back, so only a peek that goes to ``refutes``
-    copies the fixings."""
-    wit = lex_leader_completion(leads, fs)
-    for i in entries:
-        for v, peeked in ((0, fs.fixed0), (1, fs.fixed1)):
-            if wit is not None and wit[i] == v:
-                continue
-            peeked.add(i)
-            x = lex_leader_completion(leads, fs)
-            refuted = x is None and refutes(fs.copy())
-            peeked.discard(i)
-            if x is not None:
-                wit = x
-            elif refuted:
-                (fs.fixed1 if v == 0 else fs.fixed0).add(i)
-                break
 
 
 # -- relabeling heuristics ---------------------------------------------------

@@ -48,10 +48,10 @@ whose fixings the symmetry pass adds to the node's state.  The modes:
 A relabeling strategy other than ``original`` transforms the whole instance
 up front so generators become monotone/ordered and maps incumbents back.
 
-A program's set-up (the generator check, each relabeled program and plan,
-the row index and the symmetry units) is made once and kept on the program
-(:class:`_SetUp`) while its content is unchanged, so every later solve of
-it reuses that set-up and its ``wall_time`` does not include it.
+A program's set-up (the generator check, and per labeling the relabeled
+program and plan, the row index and the symmetry units) is made once, kept
+on the program (:class:`_SetUp`) while its content is unchanged and looked
+up once per solve, so a repeated solve's ``wall_time`` leaves it out.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ MODES = ("nosym", "gen", "group", "nopeek", "peek")
 RELABELS = ("original", "max", "min", "respect")
 
 EPS = 1e-9
+FEASIBILITY_TOL = 1e-6  # is_feasible's
 
 
 @dataclass(frozen=True)
@@ -113,26 +114,17 @@ class BinaryProgram:
             if g.n != self.n:
                 raise ValueError("generator ground set mismatch")
 
-    def check_symmetry(self, perm: Permutation, tol: float = 1e-9) -> bool:
-        """Algebraic invariance: objective constant on orbits, rows map to
-        rows.  This implies the permutation maps feasible points to feasible
-        points of equal objective."""
-        return self._is_symmetry(perm, tol, self._row_keys())
+    def check_symmetry(self, perm: Permutation) -> bool:
+        """Algebraic invariance: objective constant on orbits (within EPS),
+        rows map to rows.  This implies the permutation maps feasible points
+        to feasible points of equal objective."""
+        return self._is_symmetry(perm, self._row_keys())
 
-    def check_generators(self, tol: float = 1e-9) -> None:
+    def check_generators(self) -> None:
         """Raise ValueError naming the first declared generator (1-based)
         that :meth:`check_symmetry` rejects.  A pass is recorded with the
-        program's content, so checking it again at ``tol`` is free."""
-        rec = _SetUp.of(self)
-        if rec.tol == tol:
-            return
-        keys = self._row_keys() if self.generators else []
-        for k, g in enumerate(self.generators, start=1):
-            if not self._is_symmetry(g, tol, keys):
-                raise ValueError(
-                    "generator %d %r is not a symmetry of the program"
-                    % (k, g))
-        rec.tol = tol
+        program's content, so checking it again is free."""
+        _SetUp.of(self).check(self)
 
     def _row_keys(self) -> List[Tuple[tuple, Tuple[int, ...],
                                       Tuple[float, ...]]]:
@@ -147,12 +139,12 @@ class BinaryProgram:
             out.append((key, entries, coeffs))
         return out
 
-    def _is_symmetry(self, perm: Permutation, tol: float,
+    def _is_symmetry(self, perm: Permutation,
                      keys: List[Tuple[tuple, Tuple[int, ...],
                                       Tuple[float, ...]]]) -> bool:
         img, obj = perm.image, self.objective
         for j, c in zip(img, obj):
-            if abs(obj[j] - c) > tol:
+            if abs(obj[j] - c) > EPS:
                 return False
         # Rows that avoid the support map to themselves; the others must
         # map onto each other as a multiset.
@@ -174,12 +166,12 @@ class BinaryProgram:
     def objective_value(self, x: Sequence[int]) -> float:
         return sum(c * v for c, v in zip(self.objective, x))
 
-    def is_feasible(self, x: Sequence[int], tol: float = 1e-6) -> bool:
+    def is_feasible(self, x: Sequence[int]) -> bool:
         for row in self.rows:
             act = sum(a * x[i] for i, a in row.coeffs)
-            if row.sense == "<=" and act > row.rhs + tol:
+            if row.sense == "<=" and act > row.rhs + FEASIBILITY_TOL:
                 return False
-            if row.sense == "==" and abs(act - row.rhs) > tol:
+            if row.sense == "==" and abs(act - row.rhs) > FEASIBILITY_TOL:
                 return False
         return True
 
@@ -187,11 +179,11 @@ class BinaryProgram:
 class _SetUp:
     """What :func:`solve` derives from one program's content, kept on the
     program as ``_setup`` and used while that content equals ``token``:
-    the ``tol`` its generators passed :meth:`~BinaryProgram.check_generators`
-    at, its symmetry units by shape, and per relabeling strategy the
-    relabeled program (None: the program itself, which keeps its units),
-    plan and :class:`_RowIndex`.  A search reads it and writes only the
-    lazy caches of its permutations and cyclic groups.
+    whether its generators passed :meth:`~BinaryProgram.check_generators`,
+    and per relabeling strategy the relabeled program (None: the program
+    itself; a relabeled one has no record), plan, :class:`_RowIndex` and
+    symmetry units by shape.  A search writes only the lazy caches of its
+    permutations and cyclic groups.
 
     The token holds the objective's number types besides its values: a
     relabeled program copies the objective's numbers and the reported
@@ -199,22 +191,72 @@ class _SetUp:
     must not reuse the old copy.  The rows' numbers reach only fixings,
     which equal values decide."""
 
-    __slots__ = ("token", "tol", "units", "labelings")
+    __slots__ = ("token", "checked", "labelings")
 
     def __init__(self, token: tuple):
-        self.token, self.tol = token, None
-        self.units: dict = {}       # shape -> units
-        self.labelings: dict = {}   # strategy -> (program or None, plan, rows)
+        self.token, self.checked = token, False
+        self.labelings: dict = {}
 
     @staticmethod
     def of(bp: BinaryProgram) -> "_SetUp":
-        """bp's record, a new one when bp's content no longer matches."""
+        """bp's record, new when bp's content no longer matches; a new one
+        raises ValueError unless bp has n objective entries and its row
+        entries are ints in 0..n-1."""
         token = (bp.n, tuple(bp.objective), tuple(map(type, bp.objective)),
                  tuple(bp.rows), tuple(bp.generators))
         rec = getattr(bp, "_setup", None)
         if rec is None or rec.token != token:
+            if len(bp.objective) != bp.n:
+                raise ValueError("objective length != n")
+            for r, row in enumerate(bp.rows, start=1):
+                for i, _a in row.coeffs:
+                    if type(i) is not int or not 0 <= i < bp.n:
+                        raise ValueError("row %d has entry %r outside 0..%d"
+                                         % (r, i, bp.n - 1))
             rec = bp._setup = _SetUp(token)
         return rec
+
+    def check(self, bp: BinaryProgram) -> None:
+        """:meth:`BinaryProgram.check_generators` on bp, once."""
+        if self.checked:
+            return
+        keys = bp._row_keys() if bp.generators else []
+        for k, g in enumerate(bp.generators, start=1):
+            if not bp._is_symmetry(g, keys):
+                raise ValueError(
+                    "generator %d %r is not a symmetry of the program"
+                    % (k, g))
+        self.checked = True
+
+    def labeling(self, bp: BinaryProgram, strategy: str, mode: str) -> Tuple[
+            BinaryProgram, Optional[RelabelPlan], _RowIndex, list]:
+        """The program, plan, row index and symmetry units of a solve of bp
+        under ``strategy`` and ``mode``; ``peek`` shares ``nopeek``'s
+        units."""
+        lab = self.labelings.get(strategy)
+        if lab is None:
+            work, plan = bp, None
+            gens = [g for g in bp.generators if not g.is_identity()]
+            if strategy != "original" and gens:
+                plan = relabel(gens, strategy)
+                image = plan.labeling.image
+                objective, names = [0.0] * bp.n, [""] * bp.n
+                for i in range(bp.n):
+                    objective[image[i]] = bp.objective[i]
+                    names[image[i]] = bp.names[i]
+                work = BinaryProgram(
+                    bp.n, objective,
+                    [Row.make({image[i]: a for i, a in r.coeffs}, r.sense,
+                              r.rhs) for r in bp.rows],
+                    names, [plan.apply_to(g) for g in bp.generators])
+            lab = self.labelings[strategy] = (
+                None if work is bp else work, plan, _RowIndex(work), {})
+        work, plan, rows, units = lab
+        work = bp if work is None else work
+        shape = "nopeek" if mode == "peek" else mode
+        if shape not in units:
+            units[shape] = _units(work, shape)
+        return work, plan, rows, units[shape]
 
 
 @dataclass(frozen=True)
@@ -246,44 +288,35 @@ class SolveResult:
     sym_time: float
 
 
+def _units(bp: BinaryProgram, shape: str) -> List[Tuple[str, object]]:
+    """bp's symmetry units in mode ``shape``: ``("ordered", subgroup)`` for
+    an ordered monotone generator in ``nopeek``, else ``("perms", list)``
+    for :func:`propagate_set`: the generators in ``gen``, one generator's
+    (safeguard-capped) powers otherwise."""
+    gens = [g for g in bp.generators if not g.is_identity()]
+    if shape == "nosym" or not gens:
+        return []
+    if shape == "gen":
+        return [("perms", gens)]
+    units = []
+    for g in gens:
+        if shape != "group" and is_monotone_ordered(g) is not None:
+            units.append(("ordered", CyclicSubgroup.generated_by(g)))
+        else:
+            elems = group_elements(g)
+            if elems:
+                units.append(("perms", elems))
+    return units
+
+
 class _SymmetryEngine:
-    """A solve's symmetry propagation: the program's shared units and the
-    solve's counters.
+    """A solve's symmetry propagation: its units, shared through the
+    program's :class:`_SetUp`, and the solve's counters."""
 
-    A unit is ``("ordered", subgroup)`` for an ordered monotone generator
-    in ``nopeek``/``peek``, or ``("perms", permutations)`` for a list that
-    :func:`propagate_set` drives: the generators in ``gen``, one
-    generator's (safeguard-capped) powers otherwise.  The units are built
-    once per content of the program and shape (``peek`` shares
-    ``nopeek``'s) and kept in its :class:`_SetUp`.
-    """
-
-    def __init__(self, bp: BinaryProgram, settings: Settings):
-        self.mode = settings.mode
+    def __init__(self, units: List[Tuple[str, object]], mode: str):
+        self.units, self.mode = units, mode
         self.sym_fixings = 0     # entries the passes fixed, and their time
         self.sym_time = 0.0
-        shape = "nopeek" if self.mode == "peek" else self.mode
-        shared = _SetUp.of(bp).units
-        if shape not in shared:
-            shared[shape] = self._units(bp, shape)
-        self.units: List[Tuple[str, object]] = shared[shape]
-
-    @staticmethod
-    def _units(bp: BinaryProgram, mode: str) -> List[Tuple[str, object]]:
-        gens = [g for g in bp.generators if not g.is_identity()]
-        if mode == "nosym" or not gens:
-            return []
-        if mode == "gen":
-            return [("perms", gens)]
-        units = []
-        for g in gens:
-            if mode != "group" and is_monotone_ordered(g) is not None:
-                units.append(("ordered", CyclicSubgroup.generated_by(g)))
-            else:
-                elems = group_elements(g)
-                if elems:
-                    units.append(("perms", elems))
-        return units
 
     def propagate(self, fs: FixState) -> bool:
         """One pass over the symmetry units, extending ``fs`` in place;
@@ -549,14 +582,16 @@ def node_propagate(
     ``fs`` is extended in place; False when it is infeasible.  ``branched``
     says that ``fs`` is a row fixpoint plus the fixing of that one entry,
     as at a search child, so only the rows that fixing tightens are queued
-    at first; without it every row is.
+    at first; without it every row is.  :func:`solve` passes its
+    ``engine`` and ``rows``; without an engine, both come from bp's set-up
+    record under bp's own labels.
     """
     if not fs.is_consistent():
         return False
     if engine is None:
-        engine = _SymmetryEngine(bp, settings)
-    if rows is None:
-        rows = _RowIndex(bp)
+        _work, _plan, rows, units = _SetUp.of(bp).labeling(
+            bp, "original", settings.mode)
+        engine = _SymmetryEngine(units, settings.mode)
     wake = None if branched is None else (branched,)
     while True:
         if not _row_propagate(rows, fs, wake):
@@ -571,50 +606,27 @@ def node_propagate(
         wake = (fs.fixed0 | fs.fixed1) - seen
 
 
-def _relabel_program(
-    bp: BinaryProgram, strategy: str
-) -> Tuple[BinaryProgram, Optional[RelabelPlan]]:
-    gens = [g for g in bp.generators if not g.is_identity()]
-    if strategy == "original" or not gens:
-        return bp, None
-    plan = relabel(gens, strategy)
-    lab = plan.labeling
-    objective = [0.0] * bp.n
-    names = [""] * bp.n
-    for i in range(bp.n):
-        objective[lab.image[i]] = bp.objective[i]
-        names[lab.image[i]] = bp.names[i]
-    rows = [Row.make({lab.image[i]: a for i, a in r.coeffs}, r.sense, r.rhs)
-            for r in bp.rows]
-    new_gens = [plan.apply_to(g) for g in bp.generators]
-    return BinaryProgram(bp.n, objective, rows, names, new_gens), plan
-
-
 def solve(bp: BinaryProgram, settings: Settings = Settings()) -> SolveResult:
     """Depth-first search, branching lowest-index unfixed variable, 1 first.
 
     Raises ValueError when the mode uses the declared generators and one of
     them is not a symmetry of ``bp``: propagating it would cut off optimal
     solutions, so the reported optimum or infeasibility would be wrong.
-    Also raises it when the objective no longer has n entries.
+    Also raises it when the objective no longer has n entries, or a row
+    has an entry that is not an int in 0..n-1.
 
     The set-up (generator check, relabeling, row index, symmetry units) is
     kept on ``bp`` and reused while its n, objective, rows and generators
-    compare equal, so a repeated solve's ``wall_time`` leaves it out.
+    compare equal, so a repeated solve's ``wall_time`` leaves it out.  The
+    record is looked up once per solve.
     """
     t0 = time.perf_counter()
-    if len(bp.objective) != bp.n:   # fields stay mutable after construction
-        raise ValueError("objective length != n")
+    setup = _SetUp.of(bp)
     if settings.mode != "nosym":
-        bp.check_generators()
-    labelings = _SetUp.of(bp).labelings
-    if settings.relabel not in labelings:
-        work, plan = _relabel_program(bp, settings.relabel)
-        labelings[settings.relabel] = (None if work is bp else work, plan,
-                                       _RowIndex(work))
-    work, plan, rows = labelings[settings.relabel]
-    work = bp if work is None else work
-    engine = _SymmetryEngine(work, settings)
+        setup.check(bp)
+    work, plan, rows, units = setup.labeling(bp, settings.relabel,
+                                             settings.mode)
+    engine = _SymmetryEngine(units, settings.mode)
     n = work.n
     gains = [(i, c) for i, c in enumerate(work.objective) if c > 0]
     best_obj: Optional[float] = None

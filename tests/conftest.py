@@ -3,9 +3,28 @@
 import random
 from typing import List, Optional, Tuple
 
+import pytest
+
+from cycfix import solver as solver_module
 from cycfix.core import FixState, Permutation
 from cycfix.cyclic import CyclicSubgroup
-from cycfix.solver import BinaryProgram, Row
+from cycfix.solver import MODES, RELABELS, BinaryProgram, Row, Settings, solve
+
+CELLS = [(mode, rl) for mode in MODES for rl in RELABELS]
+
+
+@pytest.fixture
+def row_index_builds(monkeypatch):
+    """The programs whose ``solver._RowIndex`` is built during the test."""
+    built = []
+
+    class Counted(solver_module._RowIndex):
+        def __init__(self, bp):
+            built.append(bp)
+            super().__init__(bp)
+
+    monkeypatch.setattr(solver_module, "_RowIndex", Counted)
+    return built
 
 
 def rand_perm(rng: random.Random, n: int) -> Permutation:
@@ -114,6 +133,16 @@ def planted_symmetric_bp(rng: random.Random, n: int) -> BinaryProgram:
     bp = BinaryProgram(n, objective, list(rows.values()), None, [gen])
     assert bp.check_symmetry(gen)
     return bp
+
+
+def solve_outcome(bp, mode, rl):
+    """A solve's answer and search counts, or the ValueError it raised."""
+    try:
+        r = solve(bp, Settings(mode=mode, relabel=rl))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return (r.status, r.objective, type(r.objective), r.incumbent, r.nodes,
+            r.sym_fixings)
 
 
 def brute_force_optimum(bp: BinaryProgram) -> Optional[Tuple[float, Tuple[int, ...]]]:

@@ -276,6 +276,16 @@ class TestExperiment:
         assert len(rep.rows) == 4
         assert all(r.status == "optimal" for r in rep.rows)
 
+    def test_every_cell_pays_for_its_set_up(self, row_index_builds):
+        # Each cell solves a fresh copy of its program, as a worker process
+        # does, so each builds its own set-up and row index, and the
+        # caller's program is left without a set-up record.
+        name, bp = self.small_instance()
+        rep = run_experiment([(name, bp)], ["group", "nosym"],
+                             ["respect", "original"])
+        assert len(row_index_builds) == len(rep.rows) == 4
+        assert not hasattr(bp, "_setup")
+
     def test_timed_out_row_reports_the_limit(self):
         rep = run_experiment([gen_snark(3)], ["nosym"], ["original"],
                              time_limit=0)

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from cycfix import core as core_module
 from cycfix.core import (DimensionError, FixState, InvalidPermutationError,
                          InvalidRestrictionError, Permutation,
                          PropagationResult, group_elements, is_monotone,
@@ -145,14 +146,16 @@ class TestGroupElements:
     def test_identity_gives_nothing(self):
         assert group_elements(Permutation.identity(4)) == []
 
-    def test_count_cap(self):
+    def test_count_cap(self, monkeypatch):
         g = Permutation.from_cycles(12, [tuple(range(1, 13))])
-        assert len(group_elements(g, max_count=3)) == 3
+        monkeypatch.setattr(core_module, "MAX_POWERS", 3)
+        assert len(group_elements(g)) == 3
 
-    def test_weight_cap(self):
+    def test_weight_cap(self, monkeypatch):
         g = Permutation.from_cycles(12, [tuple(range(1, 13))])
         # |supp| = 12, so weight 30 allows only 2 powers
-        assert len(group_elements(g, max_weight=30)) == 2
+        monkeypatch.setattr(core_module, "MAX_POWER_WEIGHT", 30)
+        assert len(group_elements(g)) == 2
 
 
 class TestMonotone:

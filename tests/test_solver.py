@@ -1,5 +1,4 @@
 import copy
-import functools
 import gc
 import itertools
 import random
@@ -7,6 +6,7 @@ import weakref
 
 import pytest
 
+from cycfix import core as core_module
 from cycfix import cyclic as cyclic_module
 from cycfix import solver as solver_module
 from cycfix.bench import gen_snark
@@ -18,15 +18,21 @@ from cycfix.solver import (EPS, MODES, RELABELS, BinaryProgram, Row,
                            Settings, _row_propagate, _RowIndex,
                            _SymmetryEngine, node_propagate, solve)
 
-from conftest import (brute_force_optimum, monotone_cycle_on,
+from conftest import (CELLS, brute_force_optimum, monotone_cycle_on,
                       planted_symmetric_bp, rand_fixstate,
-                      rand_ordered_monotone_group, rand_perm)
+                      rand_ordered_monotone_group, rand_perm, solve_outcome)
 
 
 def simple_bp(n=4, rows=(), generators=(), objective=None):
     return BinaryProgram(
         n, list(objective) if objective else [1.0] * n,
         list(rows), None, list(generators))
+
+
+def engine_of(bp, mode):
+    """The symmetry engine of a solve of bp in ``mode`` under bp's labels."""
+    units = solver_module._SetUp.of(bp).labeling(bp, "original", mode)[3]
+    return _SymmetryEngine(units, mode)
 
 
 class TestRowTypes:
@@ -137,7 +143,7 @@ class TestPeekOnUnorderedGenerators:
                    for g in bp.generators):
                 continue
             programs += 1
-            units = {mode: _SymmetryEngine(bp, Settings(mode=mode)).units
+            units = {mode: engine_of(bp, mode).units
                      for mode in ("nopeek", "peek")}
             assert units["peek"] == units["nopeek"], bp.generators
             assert all(kind == "perms" for kind, _ in units["peek"])
@@ -207,7 +213,7 @@ class TestCertifiedUnits:
                     gens.append(rand_ordered_monotone_group(rng, n).generator)
             bp = simple_bp(n, generators=gens)
             for mode in MODES:
-                engine = _SymmetryEngine(bp, Settings(mode=mode))
+                engine = engine_of(bp, mode)
                 for _ in range(3):
                     fs = rand_fixstate(rng, n, 0.15, 0.15)
                     ref = fs.copy()
@@ -832,9 +838,8 @@ class TestSafeguardCaps:
     def test_caps_bound_group_expansion(self, monkeypatch):
         gen = Permutation.from_cycles(12, [tuple(range(1, 13))])
         bp = simple_bp(12, [], [gen], objective=[0.0] * 12)
-        monkeypatch.setattr(solver_module, "group_elements",
-                            functools.partial(group_elements, max_count=2))
-        engine = solver_module._SymmetryEngine(bp, Settings(mode="group"))
+        monkeypatch.setattr(core_module, "MAX_POWERS", 2)
+        engine = engine_of(bp, "group")
         assert [len(elems) for _kind, elems in engine.units] == [2]
         res = solve(bp, Settings(mode="group"))
         assert res.status == "optimal"
@@ -937,19 +942,6 @@ class TestUndeclaredSymmetry:
         bp.check_generators()
 
 
-def _outcome(bp, mode, rl):
-    """A solve's answer and search counts, or the ValueError it raised."""
-    try:
-        r = solve(bp, Settings(mode=mode, relabel=rl))
-    except ValueError as exc:
-        return ("ValueError", str(exc))
-    return (r.status, r.objective, type(r.objective), r.incumbent, r.nodes,
-            r.sym_fixings)
-
-
-CELLS = [(mode, rl) for mode in MODES for rl in RELABELS]
-
-
 class TestSetUpReuse:
     """A program keeps its set-up across solves while its content is
     unchanged; reusing it must never change an answer or a count."""
@@ -962,8 +954,9 @@ class TestSetUpReuse:
             cells = CELLS[:]
             rng.shuffle(cells)
             for k, (mode, rl) in enumerate(cells):
-                assert _outcome(bp, mode, rl) == \
-                    _outcome(copy.deepcopy(pristine), mode, rl), (mode, rl)
+                fresh = copy.deepcopy(pristine)
+                assert solve_outcome(bp, mode, rl) == \
+                    solve_outcome(fresh, mode, rl), (mode, rl)
                 if k == 0:
                     record = bp._setup
             # every solve after the first reused the first one's record
@@ -1008,7 +1001,7 @@ class TestSetUpReuse:
             pristine = planted_symmetric_bp(rng, rng.randint(4, 8))
             for mutate in mutations:
                 bp = copy.deepcopy(pristine)
-                before = {cell: _outcome(bp, *cell) for cell in CELLS}
+                before = {cell: solve_outcome(bp, *cell) for cell in CELLS}
                 mutate(bp)
                 fresh = BinaryProgram(bp.n, list(bp.objective),
                                       list(bp.rows), list(bp.names),
@@ -1016,8 +1009,8 @@ class TestSetUpReuse:
                 cells = CELLS[:]
                 rng.shuffle(cells)
                 for cell in cells:
-                    got = _outcome(bp, *cell)
-                    assert got == _outcome(fresh, *cell), (mutate, cell)
+                    got = solve_outcome(bp, *cell)
+                    assert got == solve_outcome(fresh, *cell), (mutate, cell)
                     tally["ValueError" if got[0] == "ValueError" else
                           "same" if got == before[cell] else "moved"] += 1
         assert min(tally.values()) >= 100, tally
@@ -1036,6 +1029,51 @@ class TestSetUpReuse:
         fresh = simple_bp(4, rows, [gen], objective=[1, 1, 1, 1])
         assert repr(solve(fresh, settings).objective) == "2"
         assert repr(solve(bp, settings).objective) == "2"
+
+    def test_one_record_lookup_per_solve(self, monkeypatch):
+        # solve reads the generator check, the labeling, the row index and
+        # the units from one record, and a relabeled program has none.
+        of = solver_module._SetUp.of
+        calls = []
+
+        def spy(bp):
+            calls.append(bp)
+            return of(bp)
+
+        monkeypatch.setattr(solver_module._SetUp, "of", staticmethod(spy))
+        bp = planted_symmetric_bp(random.Random(2527), 7)
+        for mode, rl in CELLS:
+            del calls[:]
+            solve(bp, Settings(mode=mode, relabel=rl))
+            assert calls == [bp], (mode, rl)
+        relabeled = [lab[0] for lab in bp._setup.labelings.values()
+                     if lab[0] is not None]
+        assert len(relabeled) == 3
+        assert not any(hasattr(work, "_setup") for work in relabeled)
+
+    def test_node_propagate_reuses_the_record(self, row_index_builds):
+        bp = simple_bp(3, [Row.make({0: 1.0, 1: 1.0}, "<=", 1.0)])
+        for _ in range(3):
+            fs = FixState(3, set(), {0})
+            assert node_propagate(bp, fs, Settings())
+            assert fs.fixed0 == {1}
+        assert row_index_builds == [bp]
+
+    @pytest.mark.parametrize("entry", [-1, 5, 1.0])
+    def test_row_entries_are_range_checked(self, entry):
+        # Entry -1 would alias x3, and 5 would index past the row index.
+        # Rows stay mutable, so the check runs where the record is built.
+        bp = simple_bp(3, [Row.make({0: 1.0}, "<=", 1.0),
+                           Row.make({entry: 1.0}, "<=", 0.0)])
+        for run in (lambda: solve(bp, Settings()),
+                    lambda: node_propagate(bp, FixState(3), Settings())):
+            with pytest.raises(ValueError, match="row 2 "):
+                run()
+        bp.rows[1] = Row.make({2: 1.0}, "<=", 0.0)
+        assert solve(bp).incumbent == (1, 1, 0)
+        bp.rows.append(Row.make({entry: 1.0}, "<=", 0.0))
+        with pytest.raises(ValueError, match="row 3 "):
+            solve(bp)
 
     def test_program_dies_with_its_last_reference(self):
         # The record refers to derived objects only, never back to its
