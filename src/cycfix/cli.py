@@ -26,6 +26,8 @@ EXIT_INFEASIBLE = 1
 EXIT_TIMELIMIT = 2
 EXIT_USAGE = 64
 
+MAX_GROUP_ELEMENTS = 100000  # the oracle's group closure, identity included
+
 
 class UsageError(Exception):
     pass
@@ -111,8 +113,9 @@ def _cmd_propagate(args) -> int:
     return EXIT_OK
 
 
-def _group_closure(generators: Sequence[Permutation], limit: int = 100000):
-    """All non-identity elements of the generated group, BFS closure."""
+def _group_closure(generators: Sequence[Permutation]):
+    """All non-identity elements of the generated group, BFS closure; a
+    UsageError once it exceeds MAX_GROUP_ELEMENTS."""
     if not generators:
         return []
     ident = Permutation.identity(generators[0].n)
@@ -124,9 +127,9 @@ def _group_closure(generators: Sequence[Permutation], limit: int = 100000):
             for h in generators:
                 p = h.compose(g)
                 if p not in seen:
-                    if len(seen) >= limit:
-                        raise UsageError(
-                            "generated group exceeds %d elements" % limit)
+                    if len(seen) >= MAX_GROUP_ELEMENTS:
+                        raise UsageError("generated group exceeds %d elements"
+                                         % MAX_GROUP_ELEMENTS)
                     seen.add(p)
                     nxt.append(p)
         frontier = nxt

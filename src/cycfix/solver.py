@@ -48,16 +48,16 @@ whose fixings the symmetry pass adds to the node's state.  The modes:
 A relabeling strategy other than ``original`` transforms the whole instance
 up front so generators become monotone/ordered and maps incumbents back.
 
-A program's set-up (the generator check, and per labeling the relabeled
-program and plan, the row index and the symmetry units) is made once, kept
-on the program (:class:`_SetUp`) while its content is unchanged and looked
-up once per solve, so a repeated solve's ``wall_time`` leaves it out.
+A program is immutable, so its set-up (the generator check, and per
+labeling the relabeled program and plan, the row index and the symmetry
+units) is made once and kept on the program (:class:`_SetUp`), and a
+repeated solve's ``wall_time`` leaves it out.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import FixState, Permutation, group_elements, is_monotone_ordered
@@ -93,26 +93,44 @@ def _round9(v: float) -> float:
     return v if v % 1.0 == 0.0 else round(v, 9)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinaryProgram:
-    """max c^T x over binary x subject to rows; generators declare symmetry."""
+    """max c^T x over binary x subject to rows; generators declare symmetry.
+
+    A program is a value: ``objective``, ``rows``, ``names`` and
+    ``generators`` are stored as tuples (lists are accepted), no field can
+    be reassigned, and a changed program is ``dataclasses.replace(bp,
+    ...)``, a new value.  Building one checks it and gives it an empty
+    set-up record (:class:`_SetUp`) as ``_setup``, which every solve of it
+    fills and reads.  Raises ValueError unless the objective and names have
+    n entries, each generator acts on n points, and every row entry is an
+    int in 0..n-1."""
 
     n: int
-    objective: List[float]
-    rows: List[Row]
-    names: Optional[List[str]] = None
-    generators: List[Permutation] = field(default_factory=list)
+    objective: Tuple[float, ...]
+    rows: Tuple[Row, ...]
+    names: Optional[Tuple[str, ...]] = None
+    generators: Tuple[Permutation, ...] = ()
 
     def __post_init__(self) -> None:
-        if len(self.objective) != self.n:
-            raise ValueError("objective length != n")
+        n, put = self.n, object.__setattr__
         if self.names is None:
-            self.names = ["x%d" % (i + 1) for i in range(self.n)]
-        if len(self.names) != self.n:
+            put(self, "names", ["x%d" % (i + 1) for i in range(n)])
+        for name in ("objective", "rows", "names", "generators"):
+            put(self, name, tuple(getattr(self, name)))
+        if len(self.objective) != n:
+            raise ValueError("objective length != n")
+        if len(self.names) != n:
             raise ValueError("names length != n")
         for g in self.generators:
-            if g.n != self.n:
+            if g.n != n:
                 raise ValueError("generator ground set mismatch")
+        for r, row in enumerate(self.rows, start=1):
+            for i, _a in row.coeffs:
+                if type(i) is not int or not 0 <= i < n:
+                    raise ValueError("row %d has entry %r outside 0..%d"
+                                     % (r, i, n - 1))
+        put(self, "_setup", _SetUp())
 
     def check_symmetry(self, perm: Permutation) -> bool:
         """Algebraic invariance: objective constant on orbits (within EPS),
@@ -122,9 +140,9 @@ class BinaryProgram:
 
     def check_generators(self) -> None:
         """Raise ValueError naming the first declared generator (1-based)
-        that :meth:`check_symmetry` rejects.  A pass is recorded with the
-        program's content, so checking it again is free."""
-        _SetUp.of(self).check(self)
+        that :meth:`check_symmetry` rejects.  A pass is recorded on the
+        program, so checking it again is free."""
+        self._setup.check(self)
 
     def _row_keys(self) -> List[Tuple[tuple, Tuple[int, ...],
                                       Tuple[float, ...]]]:
@@ -177,44 +195,18 @@ class BinaryProgram:
 
 
 class _SetUp:
-    """What :func:`solve` derives from one program's content, kept on the
-    program as ``_setup`` and used while that content equals ``token``:
-    whether its generators passed :meth:`~BinaryProgram.check_generators`,
-    and per relabeling strategy the relabeled program (None: the program
-    itself; a relabeled one has no record), plan, :class:`_RowIndex` and
-    symmetry units by shape.  A search writes only the lazy caches of its
-    permutations and cyclic groups.
+    """What :func:`solve` derives from one program, kept on it as
+    ``_setup``: whether its generators passed
+    :meth:`~BinaryProgram.check_generators`, and per relabeling strategy
+    the relabeled program (None: the program itself), plan,
+    :class:`_RowIndex` and symmetry units by shape.  A search writes only
+    the lazy caches of its permutations and cyclic groups."""
 
-    The token holds the objective's number types besides its values: a
-    relabeled program copies the objective's numbers and the reported
-    objective sums them, so after ``1.0`` is replaced by ``1`` a solve
-    must not reuse the old copy.  The rows' numbers reach only fixings,
-    which equal values decide."""
+    __slots__ = ("checked", "labelings")
 
-    __slots__ = ("token", "checked", "labelings")
-
-    def __init__(self, token: tuple):
-        self.token, self.checked = token, False
+    def __init__(self):
+        self.checked = False
         self.labelings: dict = {}
-
-    @staticmethod
-    def of(bp: BinaryProgram) -> "_SetUp":
-        """bp's record, new when bp's content no longer matches; a new one
-        raises ValueError unless bp has n objective entries and its row
-        entries are ints in 0..n-1."""
-        token = (bp.n, tuple(bp.objective), tuple(map(type, bp.objective)),
-                 tuple(bp.rows), tuple(bp.generators))
-        rec = getattr(bp, "_setup", None)
-        if rec is None or rec.token != token:
-            if len(bp.objective) != bp.n:
-                raise ValueError("objective length != n")
-            for r, row in enumerate(bp.rows, start=1):
-                for i, _a in row.coeffs:
-                    if type(i) is not int or not 0 <= i < bp.n:
-                        raise ValueError("row %d has entry %r outside 0..%d"
-                                         % (r, i, bp.n - 1))
-            rec = bp._setup = _SetUp(token)
-        return rec
 
     def check(self, bp: BinaryProgram) -> None:
         """:meth:`BinaryProgram.check_generators` on bp, once."""
@@ -589,7 +581,7 @@ def node_propagate(
     if not fs.is_consistent():
         return False
     if engine is None:
-        _work, _plan, rows, units = _SetUp.of(bp).labeling(
+        _work, _plan, rows, units = bp._setup.labeling(
             bp, "original", settings.mode)
         engine = _SymmetryEngine(units, settings.mode)
     wake = None if branched is None else (branched,)
@@ -612,16 +604,13 @@ def solve(bp: BinaryProgram, settings: Settings = Settings()) -> SolveResult:
     Raises ValueError when the mode uses the declared generators and one of
     them is not a symmetry of ``bp``: propagating it would cut off optimal
     solutions, so the reported optimum or infeasibility would be wrong.
-    Also raises it when the objective no longer has n entries, or a row
-    has an entry that is not an int in 0..n-1.
 
     The set-up (generator check, relabeling, row index, symmetry units) is
-    kept on ``bp`` and reused while its n, objective, rows and generators
-    compare equal, so a repeated solve's ``wall_time`` leaves it out.  The
-    record is looked up once per solve.
+    kept on ``bp``, which cannot change, so a repeated solve's
+    ``wall_time`` leaves it out.
     """
     t0 = time.perf_counter()
-    setup = _SetUp.of(bp)
+    setup = bp._setup
     if settings.mode != "nosym":
         setup.check(bp)
     work, plan, rows, units = setup.labeling(bp, settings.relabel,

@@ -27,7 +27,7 @@ class TestInstanceFormat:
     def test_parse_basics(self):
         name, bp = parse_instance_dict(tiny_doc())
         assert name == "tiny"
-        assert bp.objective == [1.0, 0.0, -2.0]
+        assert bp.objective == (1.0, 0.0, -2.0)
         assert bp.rows[0].sense == "<="
         assert bp.generators[0].cycles() == [(1, 2, 3)]
 
@@ -279,12 +279,12 @@ class TestExperiment:
     def test_every_cell_pays_for_its_set_up(self, row_index_builds):
         # Each cell solves a fresh copy of its program, as a worker process
         # does, so each builds its own set-up and row index, and the
-        # caller's program is left without a set-up record.
+        # caller's program keeps an empty set-up record.
         name, bp = self.small_instance()
         rep = run_experiment([(name, bp)], ["group", "nosym"],
                              ["respect", "original"])
         assert len(row_index_builds) == len(rep.rows) == 4
-        assert not hasattr(bp, "_setup")
+        assert not bp._setup.checked and not bp._setup.labelings
 
     def test_timed_out_row_reports_the_limit(self):
         rep = run_experiment([gen_snark(3)], ["nosym"], ["original"],
@@ -352,18 +352,22 @@ class TestExperiment:
             run_experiment([self.small_instance()], ["nosym"], ["original"],
                            time_limit=float("nan"))
 
+    def non_symmetric_instance(self):
+        # (1,2) maps the objective's 2.0 onto x1's 1.0: no symmetry
+        gen = Permutation.from_cycles(2, [(1, 2)])
+        return "bad", BinaryProgram(2, [1.0, 2.0], [], None, [gen])
+
     def test_failures_become_rows(self):
-        bad = BinaryProgram(2, [1.0, 1.0], [], None, [])
-        bad.objective = [1.0]  # corrupt after construction
-        rep = run_experiment([("bad", bad)], ["nosym"], ["original"])
+        rep = run_experiment([self.non_symmetric_instance()], ["gen"],
+                             ["original"])
         assert len(rep.rows) == 1
-        assert rep.rows[0].status.startswith("error:")
+        assert rep.rows[0].status == "error:ValueError"
+        assert "generator 1" in rep.rows[0].error
 
     def test_error_rows_keep_the_message_and_stay_out_of_times(self):
-        bad = BinaryProgram(2, [1.0, 1.0], [], None, [])
-        bad.objective = [1.0]  # corrupt after construction
-        rep = run_experiment([("bad", bad), self.small_instance()],
-                             ["nosym"], ["original"])
+        rep = run_experiment([self.non_symmetric_instance(),
+                              self.small_instance()],
+                             ["gen"], ["original"])
         err = [r for r in rep.rows if r.failed]
         assert len(err) == 1 and err[0].error
         ok = [r for r in rep.rows if not r.failed]

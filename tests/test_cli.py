@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -51,7 +53,7 @@ class TestSolveCommand:
         rc = cli.main(["solve", "--instance", snark3, "--mode", "peek",
                        "--relabel", "respect"])
         assert rc == cli.EXIT_INFEASIBLE
-        assert calls == gen_snark(3)[1].generators
+        assert tuple(calls) == gen_snark(3)[1].generators
 
     def test_timelimit_exit_code(self, snark3):
         rc = cli.main(["solve", "--instance", snark3, "--mode", "nosym",
@@ -198,11 +200,12 @@ class TestPropagateAndOracle:
         assert rc == cli.EXIT_INFEASIBLE
         assert capsys.readouterr().out == "infeasible\n"
 
-    def test_group_closure_stops_at_its_limit(self):
+    def test_group_closure_stops_at_its_limit(self, monkeypatch):
         gens = [Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])]
         assert len(cli._group_closure(gens)) == 4
+        monkeypatch.setattr(cli, "MAX_GROUP_ELEMENTS", 3)
         with pytest.raises(cli.UsageError, match="exceeds 3 elements"):
-            cli._group_closure(gens, limit=3)
+            cli._group_closure(gens)
 
     def test_overlapping_fixings_rejected(self, cyclic5):
         rc = cli.main(["propagate", "--instance", cyclic5,
@@ -419,3 +422,33 @@ def test_config_flag_rejected(command, cyclic5, tmp_path, capsys):
     assert cli.main([command] + args + ["--config", str(conf)]) \
         == cli.EXIT_USAGE
     assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+class TestProcess:
+    """``python -m cycfix.cli`` in a child process: the exit codes that
+    ``sys.exit(main())`` hands to the shell."""
+
+    def run(self, *argv):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "cycfix.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    def test_snark_solve_exits_infeasible(self, tmp_path):
+        path = str(tmp_path / "j3.json")
+        made = self.run("gen-snark", "--n", "3", "--out", path)
+        assert made.returncode == cli.EXIT_OK, made.stderr
+        out = self.run("solve", "--instance", path, "--mode", "peek")
+        assert out.returncode == cli.EXIT_INFEASIBLE, out.stderr
+        assert "status: infeasible" in out.stdout
+
+    def test_malformed_instance_exits_usage(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"name": "bad", "n": 0, "rows": []}')
+        out = self.run("solve", "--instance", str(path))
+        assert out.returncode == cli.EXIT_USAGE
+        assert out.stderr.startswith("error: ")

@@ -7,20 +7,29 @@ generated group and the rows are closed under it, so every generator is a
 symmetry.  Every mode under every labeling must then agree with brute force
 on the status, the optimum, and the incumbent's feasibility and value.
 
-A program solved, changed and solved again must also give what a fresh
-program with the changed content gives, down to the search counts and the
-objective's number type.
+A program solved and then changed with ``dataclasses.replace`` must give
+what a fresh program with the changed content gives, down to the search
+counts and the objective's number type.
+
+Three metamorphic relations need no brute force, so they run on planted
+programs with n = 30..60: a generator g replaced by g^k with k prime to
+ord g keeps the node and fixing counts of ``group`` under ``original``
+(the unit's element set is the same); renaming the variables keeps the
+status and the optimum in every cell; declaring g^2 beside g keeps them
+too.
 """
 
-import copy
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from cycfix.core import Permutation
-from cycfix.solver import BinaryProgram, Row, Settings, solve
+from cycfix.solver import BinaryProgram, Row, Settings, node_propagate, solve
 
-from conftest import CELLS, brute_force_optimum, solve_outcome
+from conftest import (CELLS, brute_force_optimum, planted_symmetric_bp,
+                      rand_fixstate, solve_outcome)
 
 
 def disjoint_cycles(rng, n):
@@ -111,19 +120,20 @@ def test_every_mode_and_labeling_matches_brute_force():
 
 
 def drop_last_generator(bp):
-    bp.generators.pop()
+    return replace(bp, generators=bp.generators[:-1])
 
 
 def power_of_first_generator(bp):
-    bp.generators[0] = bp.generators[0] ** 3
+    return replace(bp, generators=(bp.generators[0] ** 3,)
+                   + bp.generators[1:])
 
 
 def integral_objective(bp):
-    bp.objective[:] = map(int, bp.objective)
+    return replace(bp, objective=map(int, bp.objective))
 
 
 def drop_a_row(bp):
-    bp.rows.pop(0)
+    return replace(bp, rows=bp.rows[1:])
 
 
 MUTATIONS = (drop_last_generator, power_of_first_generator,
@@ -134,18 +144,75 @@ MUTATIONS = (drop_last_generator, power_of_first_generator,
 def test_solve_mutate_solve_matches_a_fresh_program(mutate):
     rng = random.Random(mutate.__name__)
     tally = {"moved": 0, "same": 0}
-    for pristine in programs(23, 30):
-        if len(pristine.generators) < 2 or not pristine.rows:
+    for bp in programs(23, 30):
+        if len(bp.generators) < 2 or not bp.rows:
             continue
-        bp = copy.deepcopy(pristine)
         before = {cell: solve_outcome(bp, *cell) for cell in CELLS}
-        mutate(bp)
-        fresh = BinaryProgram(bp.n, list(bp.objective), list(bp.rows),
-                              list(bp.names), list(bp.generators))
+        new = mutate(bp)
+        fresh = BinaryProgram(new.n, list(new.objective), list(new.rows),
+                              list(new.names), list(new.generators))
         cells = CELLS[:]
         rng.shuffle(cells)
         for cell in cells:
-            got = solve_outcome(bp, *cell)
+            got = solve_outcome(new, *cell)
             assert got == solve_outcome(fresh, *cell), cell
             tally["same" if got == before[cell] else "moved"] += 1
     assert min(tally.values()) >= 10, tally
+
+
+def renamed(bp, sigma):
+    """bp with variable i renamed sigma(i): rows, objective, names and
+    generators conjugated by sigma."""
+    s = sigma.image
+    objective, names = [0.0] * bp.n, [""] * bp.n
+    for i in range(bp.n):
+        objective[s[i]], names[s[i]] = bp.objective[i], bp.names[i]
+    rows = [Row.make({s[i]: a for i, a in r.coeffs}, r.sense, r.rhs)
+            for r in bp.rows]
+    inv = sigma.inverse()
+    return BinaryProgram(bp.n, objective, rows, names,
+                         [sigma.compose(g).compose(inv)
+                          for g in bp.generators])
+
+
+def test_metamorphic_relations_on_larger_planted_programs():
+    # The programs are fixed, and sized to about 3 s: search size is
+    # heavy-tailed at this n, and one drawn program with n = 40 took
+    # 827,891 nodes in one of its cells.
+    rng, states = random.Random(7), random.Random(8)
+    tally = {"searched": 0, "infeasible": 0, "power": 0, "node": 0}
+    for _ in range(6):
+        n = rng.randint(30, 60)
+        bp = planted_symmetric_bp(rng, n)
+        (g,) = bp.generators
+        want = {cell: solve(bp, Settings(*cell)) for cell in CELLS}
+        order = g.order()
+        k = rng.choice([k for k in range(2, order) if math.gcd(k, order) == 1]
+                       or [1])
+        base = want["group", "original"]
+        powered = replace(bp, generators=[g ** k])
+        power = solve(powered, Settings("group", "original"))
+        assert (power.status, power.objective, power.nodes,
+                power.sym_fixings) == (base.status, base.objective,
+                                       base.nodes, base.sym_fixings), k
+        for _ in range(10):     # and the same fixings at any node
+            fs = rand_fixstate(states, n, 0.05, 0.05)
+            a, b = fs.copy(), fs.copy()
+            ok = node_propagate(bp, a, Settings("group"))
+            assert ok == node_propagate(powered, b, Settings("group")), k
+            assert not ok or (a.fixed0, a.fixed1) == (b.fixed0, b.fixed1)
+            tally["node"] += ok and len(a.fixed0 | a.fixed1) > len(
+                fs.fixed0 | fs.fixed1)
+        sigma = Permutation(rng.sample(range(n), n))
+        for other in (renamed(bp, sigma),
+                      replace(bp, generators=[g, g ** 2])):
+            for cell in CELLS:
+                got = solve(other, Settings(*cell))
+                assert (got.status, got.objective) == \
+                    (want[cell].status, want[cell].objective), cell
+                if got.incumbent is not None:
+                    assert other.is_feasible(got.incumbent), cell
+        tally["searched"] += max(r.nodes for r in want.values()) > 1
+        tally["infeasible"] += base.status == "infeasible"
+        tally["power"] += k != 1
+    assert tally["searched"] >= 3 and min(tally.values()) >= 1, tally

@@ -3,6 +3,7 @@ import gc
 import itertools
 import random
 import weakref
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -31,7 +32,7 @@ def simple_bp(n=4, rows=(), generators=(), objective=None):
 
 def engine_of(bp, mode):
     """The symmetry engine of a solve of bp in ``mode`` under bp's labels."""
-    units = solver_module._SetUp.of(bp).labeling(bp, "original", mode)[3]
+    units = bp._setup.labeling(bp, "original", mode)[3]
     return _SymmetryEngine(units, mode)
 
 
@@ -277,7 +278,7 @@ def _full_rescan_reference(bp, fs):
     return True
 
 
-def _rand_rows_bp(rng, n):
+def _rand_rows(rng, n):
     rows = []
     for _ in range(rng.randint(1, 7)):
         m = rng.randint(1, min(5, n))
@@ -290,7 +291,7 @@ def _rand_rows_bp(rng, n):
             rows.append(Row.make(coeffs, "==", rhs))
         else:
             rows.append(Row.make(coeffs, "<=", rhs + rng.randint(0, 2)))
-    return simple_bp(n, rows)
+    return rows
 
 
 def _layout(index):
@@ -432,16 +433,17 @@ class TestRowQueue:
                                 "clause_forced", "clause_conflict"), 0)
         while cases < 600:
             n = rng.randint(2, 12)
-            bp = _rand_rows_bp(rng, n)
+            rows = _rand_rows(rng, n)
             if cases % 2:
                 # x_a - x_b (+ x_c - x_d) == 0 seldom fixes anything alone,
                 # so seeds often meet an '==' row with negative coeffs.
                 ends = rng.sample(range(n), 2 * min(2, n // 2))
-                bp.rows.append(Row.make(
+                rows.append(Row.make(
                     {i: (1.0, -1.0)[k % 2] for k, i in enumerate(ends)},
                     "==", 0.0))
             if cases % 3:
-                bp.rows.append(_clause_row(rng, n))
+                rows.append(_clause_row(rng, n))
+            bp = simple_bp(n, rows)
             index = _RowIndex(bp)
             assert _layout(index) == _index_reference(bp), bp
             spy = _Spy(index)
@@ -549,7 +551,7 @@ class TestRowQueue:
             for _ in range(rng.randint(0, 4)):
                 rows.append(Row.make(dict.fromkeys(rng.sample(range(n), 2),
                                                    1.0), "<=", 1.0))
-            rows += _rand_rows_bp(rng, n).rows[:2]
+            rows += _rand_rows(rng, n)[:2]
             queued = []
             for coeffs, rhs in (((1.0, -1.0), 0.0),
                                 ((-1.0, -1.0, -1.0), -1.0),
@@ -938,30 +940,51 @@ class TestUndeclaredSymmetry:
                        objective=[1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="generator 3"):
             bp.check_generators()
-        bp.generators.pop()
-        bp.check_generators()
+        replace(bp, generators=bp.generators[:-1]).check_generators()
 
 
 class TestSetUpReuse:
-    """A program keeps its set-up across solves while its content is
-    unchanged; reusing it must never change an answer or a count."""
+    """A program is a value that keeps its set-up across solves; reusing it
+    must never change an answer or a count."""
 
-    def test_any_order_matches_a_fresh_program(self):
+    def test_a_program_cannot_change(self):
+        bp = planted_symmetric_bp(random.Random(2524), 6)
+        for name, value in (("n", 7), ("objective", [0.0] * 6),
+                            ("rows", []), ("names", None),
+                            ("generators", []), ("_setup", None)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(bp, name, value)
+        for name in ("objective", "rows", "names", "generators"):
+            with pytest.raises(TypeError):
+                getattr(bp, name)[0] = getattr(bp, name)[0]
+
+    def test_any_order_matches_a_fresh_program(self, row_index_builds):
         rng = random.Random(2525)
         for _ in range(100):
             pristine = planted_symmetric_bp(rng, rng.randint(4, 9))
             bp = copy.deepcopy(pristine)
             cells = CELLS[:]
             rng.shuffle(cells)
-            for k, (mode, rl) in enumerate(cells):
+            for mode, rl in cells:
                 fresh = copy.deepcopy(pristine)
                 assert solve_outcome(bp, mode, rl) == \
                     solve_outcome(fresh, mode, rl), (mode, rl)
-                if k == 0:
-                    record = bp._setup
-            # every solve after the first reused the first one's record
-            assert bp._setup is record
-            assert set(record.labelings) == set(RELABELS)
+            labs = bp._setup.labelings
+            assert set(labs) == set(RELABELS)
+            # 20 solves of bp built one row index per labeling
+            works = [bp if lab[0] is None else lab[0] for lab in labs.values()]
+            assert sum(any(b is w for w in works)
+                       for b in row_index_builds) == len(RELABELS)
+
+    def test_copies_give_the_same_answers(self):
+        rng = random.Random(2523)
+        for _ in range(10):
+            bp = planted_symmetric_bp(rng, rng.randint(4, 8))
+            want = {cell: solve_outcome(bp, *cell) for cell in CELLS}
+            for clone in (copy.copy(bp), copy.deepcopy(bp)):
+                assert clone == bp
+                for cell in CELLS:
+                    assert solve_outcome(clone, *cell) == want[cell], cell
 
     def test_mutation_after_a_solve_starts_afresh(self):
         rng = random.Random(2526)
@@ -969,50 +992,58 @@ class TestSetUpReuse:
         def bump_moved_entry(bp):
             i = next(i for i, j in enumerate(bp.generators[0].image)
                      if i != j)
-            bp.objective[i] += 1.0
+            objective = list(bp.objective)
+            objective[i] += 1.0
+            return replace(bp, objective=objective)
 
         def scale_objective(bp):
-            for i, c in enumerate(bp.objective):
-                bp.objective[i] = 3.0 * c + 1.0
+            return replace(bp, objective=[3.0 * c + 1.0
+                                          for c in bp.objective])
 
         def replace_row(bp):
-            k = rng.randrange(len(bp.rows))
-            bp.rows[k] = Row.make({rng.randrange(bp.n): 1.0}, "<=", 0.0)
+            rows = list(bp.rows)
+            k = rng.randrange(len(rows))
+            rows[k] = Row.make({rng.randrange(bp.n): 1.0}, "<=", 0.0)
+            return replace(bp, rows=rows)
 
-        def reassign_rows(bp):
-            bp.rows = []
+        def drop_rows(bp):
+            return replace(bp, rows=[])
 
-        def append_non_symmetry(bp):
+        def add_non_symmetry(bp):
             while True:
                 g = rand_perm(rng, bp.n)
                 if not bp.check_symmetry(g):
                     break
-            bp.generators.append(g)
+            new = replace(bp, generators=bp.generators + (g,))
             with pytest.raises(ValueError, match="generator 2"):
-                solve(bp, Settings(mode="gen"))
+                solve(new, Settings(mode="gen"))
+            return new
 
         def integral_objective(bp):
-            bp.objective[:] = map(int, bp.objective)
+            return replace(bp, objective=map(int, bp.objective))
 
         mutations = (bump_moved_entry, scale_objective, replace_row,
-                     reassign_rows, append_non_symmetry, integral_objective)
+                     drop_rows, add_non_symmetry, integral_objective)
         tally = {"ValueError": 0, "moved": 0, "same": 0}
         for _ in range(20):
-            pristine = planted_symmetric_bp(rng, rng.randint(4, 8))
+            bp = planted_symmetric_bp(rng, rng.randint(4, 8))
+            before = {cell: solve_outcome(bp, *cell) for cell in CELLS}
             for mutate in mutations:
-                bp = copy.deepcopy(pristine)
-                before = {cell: solve_outcome(bp, *cell) for cell in CELLS}
-                mutate(bp)
-                fresh = BinaryProgram(bp.n, list(bp.objective),
-                                      list(bp.rows), list(bp.names),
-                                      list(bp.generators))
+                new = mutate(bp)
+                assert new._setup is not bp._setup
+                fresh = BinaryProgram(new.n, list(new.objective),
+                                      list(new.rows), list(new.names),
+                                      list(new.generators))
                 cells = CELLS[:]
                 rng.shuffle(cells)
                 for cell in cells:
-                    got = solve_outcome(bp, *cell)
+                    got = solve_outcome(new, *cell)
                     assert got == solve_outcome(fresh, *cell), (mutate, cell)
                     tally["ValueError" if got[0] == "ValueError" else
                           "same" if got == before[cell] else "moved"] += 1
+            # the replaced programs left the original's answers alone
+            for cell in CELLS:
+                assert solve_outcome(bp, *cell) == before[cell], cell
         assert min(tally.values()) >= 100, tally
 
     def test_a_new_number_type_is_a_new_content(self):
@@ -1025,31 +1056,9 @@ class TestSetUpReuse:
         bp = simple_bp(4, rows, [gen], objective=[1.0] * 4)
         settings = Settings(mode="peek", relabel="respect")
         assert repr(solve(bp, settings).objective) == "2.0"
-        bp.objective[:] = [1, 1, 1, 1]
-        fresh = simple_bp(4, rows, [gen], objective=[1, 1, 1, 1])
-        assert repr(solve(fresh, settings).objective) == "2"
-        assert repr(solve(bp, settings).objective) == "2"
-
-    def test_one_record_lookup_per_solve(self, monkeypatch):
-        # solve reads the generator check, the labeling, the row index and
-        # the units from one record, and a relabeled program has none.
-        of = solver_module._SetUp.of
-        calls = []
-
-        def spy(bp):
-            calls.append(bp)
-            return of(bp)
-
-        monkeypatch.setattr(solver_module._SetUp, "of", staticmethod(spy))
-        bp = planted_symmetric_bp(random.Random(2527), 7)
-        for mode, rl in CELLS:
-            del calls[:]
-            solve(bp, Settings(mode=mode, relabel=rl))
-            assert calls == [bp], (mode, rl)
-        relabeled = [lab[0] for lab in bp._setup.labelings.values()
-                     if lab[0] is not None]
-        assert len(relabeled) == 3
-        assert not any(hasattr(work, "_setup") for work in relabeled)
+        assert repr(solve(replace(bp, objective=[1, 1, 1, 1]),
+                          settings).objective) == "2"
+        assert repr(solve(bp, settings).objective) == "2.0"
 
     def test_node_propagate_reuses_the_record(self, row_index_builds):
         bp = simple_bp(3, [Row.make({0: 1.0, 1: 1.0}, "<=", 1.0)])
@@ -1062,18 +1071,13 @@ class TestSetUpReuse:
     @pytest.mark.parametrize("entry", [-1, 5, 1.0])
     def test_row_entries_are_range_checked(self, entry):
         # Entry -1 would alias x3, and 5 would index past the row index.
-        # Rows stay mutable, so the check runs where the record is built.
-        bp = simple_bp(3, [Row.make({0: 1.0}, "<=", 1.0),
-                           Row.make({entry: 1.0}, "<=", 0.0)])
-        for run in (lambda: solve(bp, Settings()),
-                    lambda: node_propagate(bp, FixState(3), Settings())):
-            with pytest.raises(ValueError, match="row 2 "):
-                run()
-        bp.rows[1] = Row.make({2: 1.0}, "<=", 0.0)
+        ok = Row.make({0: 1.0}, "<=", 1.0)
+        with pytest.raises(ValueError, match="row 2 "):
+            simple_bp(3, [ok, Row.make({entry: 1.0}, "<=", 0.0)])
+        bp = simple_bp(3, [ok, Row.make({2: 1.0}, "<=", 0.0)])
         assert solve(bp).incumbent == (1, 1, 0)
-        bp.rows.append(Row.make({entry: 1.0}, "<=", 0.0))
         with pytest.raises(ValueError, match="row 3 "):
-            solve(bp)
+            replace(bp, rows=bp.rows + (Row.make({entry: 1.0}, "<=", 0.0),))
 
     def test_program_dies_with_its_last_reference(self):
         # The record refers to derived objects only, never back to its
