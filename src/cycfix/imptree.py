@@ -3,11 +3,14 @@
 :func:`propagate_set`, the entry every caller uses, runs
 :func:`_scan_fixpoint`.  That is a queue that scans each permutation once
 with :func:`_scan`, one union-find pass over the positions, and scans it
-again only when a new fixing reaches a position the pass read.  The
-implication tree below is the paper's structure for the same fixings.  It
-stays as the reference: :func:`propagate_set_with_states` drives it, tests
-compare the two drivers, and ``propagate_set(..., check_invariants=True)``
-runs both, walks the tree's invariants after every event and raises
+again only when a new fixing reaches a position the pass read.  The call
+owns two arrays with a slot per entry, the class labels and the class
+lists; a scan writes them and puts every slot back before it returns, so
+it costs what it reads, not what is fixed.  The implication tree below is
+the paper's structure for the same fixings.  It stays as the reference:
+:func:`propagate_set_with_states` drives it, tests compare the two
+drivers, and ``propagate_set(..., check_invariants=True)`` runs both,
+walks the tree's invariants after every event and raises
 :class:`InternalLogicError` when their answers differ.  The code is plain
 Python (no dataclasses, no fancy typing); the events take the node's
 :class:`FixState` and the public entries return a
@@ -568,92 +571,106 @@ def propagate_set_raw(perms, fix0, fix1, n, check_invariants=False):
 ZERO, ONE = -1, -2        # the scan's class roots for the two constants
 
 
-def _scan(inv, fix0, fix1):
+def _scan(inv, label, members):
     """One union-find pass for x >=_lex g(x), where ``inv`` is sigma = g^-1.
 
-    Returns ``(new0, new1, last)``, the complete fixings not in (fix0,
-    fix1) and the last position read, or None when infeasible.  Branch k
-    means x_p = x_sigma(p) for every p < k, then x_k = 1 and x_sigma(k) = 0;
-    branch n means x_p = x_sigma(p) throughout.  An entry is fixed iff every
-    feasible branch forces it to one value.  The first feasible branch
-    forces the constant classes, which stay constant later, and two
-    candidate classes: class(k) to 1 and class(sigma(k)) to 0.  Any later
-    branch has merged the two, so it keeps at most one of them.  The pass
-    stops when no candidate is left or when 0 and 1 are joined.
+    Returns ``(new0, new1, last)``, the complete fixings of entries that
+    ``label`` leaves unfixed and the last position read, or None when
+    infeasible.  Branch k means x_p = x_sigma(p) for every p < k, then
+    x_k = 1 and x_sigma(k) = 0; branch n means x_p = x_sigma(p) throughout.
+    An entry is fixed iff every feasible branch forces it to one value.  The
+    first feasible branch forces the constant classes, which stay constant
+    later, and two candidate classes: class(k) to 1 and class(sigma(k)) to
+    0.  Any later branch has merged the two, so it keeps at most one of
+    them.  The pass stops when no candidate is left or when 0 and 1 are
+    joined.
 
-    ``label`` maps an entry to its class's root: ZERO, ONE or an entry; an
-    entry missing from it is its own root.  ``members`` lists the class of
-    every root entry that is not alone, and a merge relabels the smaller
-    class.  ``forced0`` and ``forced1`` list the unfixed entries labelled
-    with a constant in the order they were, so a prefix of each holds the
-    constant classes of an earlier branch.
+    ``label`` and ``members`` belong to :func:`_scan_fixpoint`, one slot per
+    entry.  ``label[e]`` is the root of e's class: ZERO, ONE or an entry.
+    ``members[r]`` lists the class of a root r that is not alone, else None,
+    and a merge relabels the smaller class.  ``forced0`` and ``forced1``
+    list the unfixed entries labelled with a constant in the order they
+    were, so a prefix of each holds the constant classes of an earlier
+    branch.  On every return the pass puts back each slot it wrote: the
+    entries of ``forced0``, ``forced1`` and of the classes of ``roots``, so
+    a call costs what it reads, not what is fixed.
     """
-    label = dict.fromkeys(fix0, ZERO)
-    label.update(dict.fromkeys(fix1, ONE))
-    members, forced0, forced1 = {}, [], []
+    forced0, forced1, roots = [], [], []
     first, cand0, cand1 = -1, [], []
-    for k, s in enumerate(inv):
-        if s == k:
-            continue
-        rk, rs = label.get(k, k), label.get(s, s)
-        if rk != rs and rk != ZERO and rs != ONE:       # branch k feasible
-            if first < 0:
-                # an unfixed entry of the class both candidates merge into
-                first = k if rk >= 0 else s
-                n0, n1 = len(forced0), len(forced1)
-                if rk >= 0:
-                    cand1 = list(members.get(rk) or (rk,))
-                if rs >= 0:
-                    cand0 = list(members.get(rs) or (rs,))
-            else:
-                rq = label.get(first, first)
-                if rq != ONE and rq != rk:
-                    cand1 = []
-                if rq != ZERO and rq != rs:
-                    cand0 = []
-            if not cand0 and not cand1:
-                break
-        if rk == rs:
-            continue
-        if rk < 0:                          # a constant's class never moves
-            if rs < 0:                      # 0 and 1 joined
+    try:
+        for k, s in enumerate(inv):
+            if s == k:
+                continue
+            rk, rs = label[k], label[s]
+            if rk != rs and rk != ZERO and rs != ONE:   # branch k feasible
                 if first < 0:
-                    return None
-                break
-            rk, rs = rs, rk
-        moved = members.pop(rk, None)       # None: rk alone
-        if rs < 0:
-            keep = forced0 if rs == ZERO else forced1
-        else:
-            keep = members.get(rs)
-            if moved is not None and (keep is None or len(keep) < len(moved)):
-                members.pop(rs, None)       # the smaller class moves
-                rk, rs, moved, keep = rs, rk, keep, moved
-            if keep is None:
-                keep = [rs]
-            members[rs] = keep
-        if moved is None:
-            label[rk] = rs
-            keep.append(rk)
-        else:
-            for e in moved:
-                label[e] = rs
-            keep += moved
-    else:                                               # branch n
-        if first < 0:
-            return forced0, forced1, k
-        rq = label.get(first, first)
-        if rq != ONE:
-            cand1 = []
-        if rq != ZERO:
-            cand0 = []
-    return forced0[:n0] + cand0, forced1[:n1] + cand1, k
+                    # an unfixed entry of the class both candidates merge into
+                    first = k if rk >= 0 else s
+                    n0, n1 = len(forced0), len(forced1)
+                    if rk >= 0:
+                        cand1 = list(members[rk] or (rk,))
+                    if rs >= 0:
+                        cand0 = list(members[rs] or (rs,))
+                else:
+                    rq = label[first]
+                    if rq != ONE and rq != rk:
+                        cand1 = []
+                    if rq != ZERO and rq != rs:
+                        cand0 = []
+                if not cand0 and not cand1:
+                    break
+            if rk == rs:
+                continue
+            if rk < 0:                      # a constant's class never moves
+                if rs < 0:                  # 0 and 1 joined
+                    if first < 0:
+                        return None
+                    break
+                rk, rs = rs, rk
+            moved = members[rk]             # None: rk alone
+            if rs < 0:
+                keep = forced0 if rs == ZERO else forced1
+            else:
+                keep = members[rs]
+                if moved and (not keep or len(keep) < len(moved)):
+                    rk, rs, moved, keep = rs, rk, keep, moved  # smaller moves
+                if keep is None:
+                    keep = members[rs] = [rs]
+                    roots.append(rs)
+            if moved is None:
+                label[rk] = rs
+                keep.append(rk)
+            else:
+                members[rk] = None
+                for e in moved:
+                    label[e] = rs
+                keep += moved
+        else:                                           # branch n
+            if first < 0:
+                return forced0, forced1, k
+            rq = label[first]
+            if rq != ONE:
+                cand1 = []
+            if rq != ZERO:
+                cand0 = []
+        return forced0[:n0] + cand0, forced1[:n1] + cand1, k
+    finally:
+        for e in forced0 + forced1:
+            label[e] = e
+        for r in roots:
+            for e in members[r] or ():
+                label[e] = e
+            members[r] = None
 
 
 def _scan_fixpoint(perms, fix0, fix1):
     """Drive every permutation's scan to a common fixpoint, adding the new
     fixings to the sets in place; False when infeasible.
 
+    The call owns the scans' two arrays, built once: ``label`` holds ZERO
+    or ONE at a fixed entry and the entry itself elsewhere, and ``members``
+    holds None throughout.  Each new fixing is written into ``label`` as it
+    joins the sets, and every scan leaves both arrays as it found them.
     Each permutation is scanned once from the queue.  A scan that adds
     fixings puts back every other permutation j off the queue that a new
     fixing e reaches, ``e <= last_j`` or ``image_j[e] <= last_j``: a scan
@@ -663,25 +680,31 @@ def _scan_fixpoint(perms, fix0, fix1):
     """
     if fix0 & fix1:
         return False
-    m = len(perms)
+    m, n = len(perms), perms[0].n
+    label, members = list(range(n)), [None] * n
+    for fix, c in ((fix0, ZERO), (fix1, ONE)):
+        for e in fix:
+            label[e] = c
     last = [0] * m
     queue = deque(range(m))
     in_queue = [True] * m
     while queue:
         j = queue.popleft()
         in_queue[j] = False
-        out = _scan(perms[j].inv, fix0, fix1)
+        out = _scan(perms[j].inv, label, members)
         if out is None:
             return False
         new0, new1, last[j] = out
-        for new, same, other in ((new0, fix0, fix1), (new1, fix1, fix0)):
-            for e in new:
-                if e in other:
-                    raise InternalLogicError("fixing of fixed entry %d" % e)
-                same.add(e)
         new = new0 + new1
         if not new:
             continue
+        for got, same, other, c in ((new0, fix0, fix1, ZERO),
+                                    (new1, fix1, fix0, ONE)):
+            for e in got:
+                if e in other:
+                    raise InternalLogicError("fixing of fixed entry %d" % e)
+                same.add(e)
+                label[e] = c
         for i in range(m):
             if in_queue[i] or i == j:
                 continue

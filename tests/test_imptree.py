@@ -269,8 +269,8 @@ class TestPropagateSet:
         # The scan driver's one conflict check: a scan yields only new
         # fixings, so x4 = 0 against the given x4 = 1 cannot be a conflict
         # of the constraints.
-        monkeypatch.setattr(imptree, "_scan",
-                            lambda inv, fix0, fix1: ([3], [], len(inv) - 1))
+        monkeypatch.setattr(imptree, "_scan", lambda inv, label, members:
+                            ([3], [], len(inv) - 1))
         with pytest.raises(InternalLogicError, match="fixed entry 3"):
             propagate_set([Permutation.from_cycles(4, [(1, 2)])],
                           FixState(4, set(), {3}))
@@ -321,6 +321,32 @@ def _cycle(n):
     return Permutation([(i + 1) % n for i in range(n)])
 
 
+def _scan_arrays(fs):
+    """The arrays :func:`imptree._scan_fixpoint` hands every scan: the
+    base labelling of ``fs``'s fixings and no class lists."""
+    label = list(range(fs.n))
+    for fix, c in ((fs.fixed0, imptree.ZERO), (fs.fixed1, imptree.ONE)):
+        for e in fix:
+            label[e] = c
+    return label, [None] * fs.n
+
+
+class _CountedList(list):
+    """A list that counts its item reads and writes."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = self.writes = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __setitem__(self, i, value):
+        self.writes += 1
+        super().__setitem__(i, value)
+
+
 class TestLinearWork:
     """Machine-independent work counts: allocations, lookup and ancestor
     steps grow linearly in n, completeness checks linearly in the number of
@@ -348,9 +374,9 @@ class TestLinearWork:
         scans = []
         scan = imptree._scan
 
-        def counted_scan(inv, fix0, fix1):
+        def counted_scan(inv, label, members):
             scans.append(inv)
-            return scan(inv, fix0, fix1)
+            return scan(inv, label, members)
 
         monkeypatch.setattr(imptree, "_scan", counted_scan)
         cycle = _cycle(n)
@@ -359,6 +385,24 @@ class TestLinearWork:
             scans.clear()
             assert propagate_set(perms, fs).feasible
             assert len(perms) <= len(scans) <= 2 * len(perms)
+
+    def test_scan_cost_follows_what_it_reads(self):
+        """10,000 fixings beyond position 2 and a scan that stops after a
+        few positions: its array reads and writes follow the positions it
+        read, not the fixings."""
+        n = 20000
+        fs = FixState(n, set(range(n // 2 + 1, n, 2)),
+                      set(range(n // 2, n, 2)))
+        swaps = list(range(n))
+        swaps[0], swaps[1], swaps[2], swaps[n - 1] = 1, 0, n - 1, 2
+        for g in (_cycle(n), Permutation(swaps)):
+            base, _ = _scan_arrays(fs)
+            label, members = _CountedList(base), _CountedList([None] * n)
+            last = imptree._scan(g.inv, label, members)[2]
+            assert last <= 3, last
+            assert label == base and members == [None] * n
+            work = label.reads + label.writes + members.reads + members.writes
+            assert work <= 8 * (last + 1), (g, work, last)
 
     def test_no_cyclic_garbage(self):
         """Vertices link by id and the scan keeps no graph, so refcounting
@@ -538,20 +582,52 @@ class TestScanMatchesTree:
             n = rng.randint(2, 10)
             g = rand_perm(rng, n)
             fs = rand_fixstate(rng, n, rng.random() * 0.4, rng.random() * 0.4)
-            out = imptree._scan(g.inv, fs.fixed0, fs.fixed1)
+            label, members = _scan_arrays(fs)
+            out = imptree._scan(g.inv, label, members)
             if out is None:
                 continue
             new0, new1, last = out
             for e in range(n):
                 if e <= last or g.image[e] <= last or fs.is_fixed(e):
                     continue
-                for fix in (fs.fixed0, fs.fixed1):
-                    fix.add(e)
-                    again = imptree._scan(g.inv, fs.fixed0, fs.fixed1)
-                    fix.discard(e)
-                    assert again == (new0, new1, last), (g, fs, e)
+                for c in (imptree.ZERO, imptree.ONE):
+                    label[e] = c
+                    again = imptree._scan(g.inv, label, members)
+                    label[e] = e
+                    assert again == (new0, new1, last), (g, fs, e, c)
                     checked += 1
         assert checked >= 1000, checked
+
+    def test_every_scan_leaves_the_arrays_as_it_found_them(self, monkeypatch):
+        """The fixpoint builds ``label`` and ``members`` once and trusts each
+        scan to put back every slot it wrote, on every way out: before and
+        after every scan they must be the base labelling of the current
+        fixings and no class lists."""
+        scan, sets, tally = imptree._scan, [], {"scans": 0, "infeasible": 0}
+
+        def checked_scan(inv, label, members):
+            fs = FixState(len(inv), *sets)
+            assert (label, members) == _scan_arrays(fs)
+            out = scan(inv, label, members)
+            assert (label, members) == _scan_arrays(fs), (inv, fs)
+            tally["scans"] += 1
+            tally["infeasible"] += out is None
+            return out
+
+        monkeypatch.setattr(imptree, "_scan", checked_scan)
+        rng = random.Random(3011)
+        powers = [_cycle(64) ** k for k in range(1, 64)]
+        for case in range(1100):
+            if case % 11:
+                n = rng.randint(2, 12)
+                perms = [rand_perm(rng, n) for _ in range(rng.randint(1, 5))]
+            else:
+                n, perms = 64, powers
+            fs = rand_fixstate(rng, n, rng.random() * 0.4, rng.random() * 0.4)
+            sets[:] = fs.fixed0, fs.fixed1
+            imptree._scan_fixpoint(perms, fs.fixed0, fs.fixed1)
+        assert tally["scans"] >= 5000, tally
+        assert 100 <= tally["infeasible"] <= tally["scans"] // 2, tally
 
     @pytest.mark.parametrize("n", (400, 700, 1000, 1300, 1600))
     def test_long_cycles_match_tree(self, n):
